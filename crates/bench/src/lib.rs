@@ -1,10 +1,10 @@
 //! # insitu-bench
 //!
-//! Criterion micro-benchmarks of the reproduction's hot kernels (GEMM,
-//! im2col convolution, jigsaw forward, device-model evaluation, FPGA
-//! architecture simulation) plus `harness = false` bench targets that
-//! regenerate every table and figure of the paper's evaluation when
-//! `cargo bench --workspace` runs.
+//! Timing-snapshot bins: `kernels_snapshot` (GEMM shapes and the
+//! dispatched hot ops → `BENCH_kernels.json`) and `node_snapshot` (the
+//! co-running stage pipeline, i8 precision, the update cache and
+//! overlapped ingestion → `BENCH_node.json`). The paper's tables and
+//! figures regenerate through the `insitu-experiments` `repro` bin.
 
 #![warn(missing_docs)]
 

@@ -20,10 +20,9 @@ use insitu_devices::{CloudGpuSpec, UplinkSpec};
 use insitu_nn::models::mini_alexnet;
 use insitu_nn::{evaluate, predictions, LabeledBatch, Sequential};
 use insitu_tensor::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's four IoT system organizations to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// (a) Traditional: everything uploaded, everything retrained.
     Traditional,
@@ -88,7 +87,7 @@ impl SystemKind {
 }
 
 /// Cost/quality report of one update stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Stage index (0 = bootstrap).
     pub stage: usize,

@@ -30,10 +30,9 @@ use insitu_data::{jigsaw::normalize_tiles, jigsaw::permute_tiles, patchify, Data
 use insitu_nn::{confidence, softmax, JigsawNet, Sequential};
 use insitu_telemetry as telemetry;
 use insitu_tensor::{Rng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// How the node decides which samples are valuable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DiagnosisPolicy {
     /// Majority vote over `probes` jigsaw probes.
     JigsawProbe {
@@ -61,7 +60,7 @@ impl Default for DiagnosisPolicy {
 }
 
 /// Per-sample diagnosis outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
     /// Whether the sample should be uploaded for incremental training.
     pub valuable: bool,

@@ -24,7 +24,7 @@ pub enum CoreError {
     },
     /// A runtime actor thread panicked instead of returning an error.
     ActorPanicked {
-        /// Which actor died ("node" or "cloud").
+        /// Which actor died ("node", "cloud" or "producer").
         actor: &'static str,
         /// The panic payload, when it was a string.
         message: String,
@@ -62,8 +62,15 @@ impl From<NnError> for CoreError {
 }
 
 impl From<DataError> for CoreError {
+    /// A panicked ingest producer is a dead runtime actor, reported
+    /// like a panicked node or Cloud; every other data error wraps.
     fn from(e: DataError) -> Self {
-        CoreError::Data(e)
+        match e {
+            DataError::ProducerPanicked { message } => {
+                CoreError::ActorPanicked { actor: "producer", message }
+            }
+            e => CoreError::Data(e),
+        }
     }
 }
 

@@ -53,8 +53,7 @@ pub use planner::{
     PlanRequest, QuantProfile,
 };
 pub use runtime::{
-    run_ingested_session, run_replayed_session, run_streaming_session,
-    run_streaming_session_with, DegradeConfig, IngestPolicy, IngestSessionConfig, IngestSummary,
+    run_ingested_session, DegradeConfig, IngestPolicy, IngestSessionConfig, IngestSummary,
     SessionConfig, SessionStats,
 };
 pub use update::{CloudEndpoint, ModelUpdate};

@@ -6,13 +6,11 @@
 //! reports into them, so system variants can be compared on the same
 //! stream.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes occupied by one image on the uplink (3×36×36 fp32).
 pub const IMAGE_BYTES: u64 = (3 * 36 * 36 * 4) as u64;
 
 /// Accumulates node→Cloud data movement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataMovementMeter {
     /// Images examined by the node.
     pub images_seen: u64,
@@ -56,7 +54,7 @@ impl DataMovementMeter {
 }
 
 /// Accumulates modeled energy by category, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Cloud training energy.
     pub cloud_training_j: f64,
@@ -86,7 +84,7 @@ impl EnergyMeter {
 }
 
 /// Accumulates modeled model-update wall time, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UpdateClock {
     /// Time spent transferring data to the Cloud.
     pub transfer_s: f64,
@@ -118,7 +116,7 @@ impl UpdateClock {
 /// and a NaN-skipping min/max scan. Stage telemetry and snapshots
 /// report it so drift shows up as a shifting score distribution, not
 /// just a valuable-count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScoreSummary {
     /// Scores summarized.
     pub count: usize,

@@ -7,10 +7,8 @@
 //! be always-on, the tasks co-run on the **FPGA** (Co-running mode —
 //! hardware partitioning avoids the up-to-3× GPU interference).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether the deployment requires inference to be available 24/7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Availability {
     /// Inference runs in scheduled windows (e.g. daytime); diagnosis
     /// can use the off-hours.
@@ -20,7 +18,7 @@ pub enum Availability {
 }
 
 /// How the two In-situ tasks share the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkingMode {
     /// Tasks alternate on one device (different time slots).
     SingleRunning,
@@ -29,7 +27,7 @@ pub enum WorkingMode {
 }
 
 /// The accelerator the node deploys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// TX1-class mobile GPU.
     MobileGpu,

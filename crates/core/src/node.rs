@@ -18,7 +18,6 @@ use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 
 /// Numeric precision of the node's inference forward pass.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// bitwise equivalence contract with
 /// [`process_stage_unfused`](InsituNode::process_stage_unfused), and
 /// the diagnosis task is not on the end-user latency path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum InferencePrecision {
     /// Full-precision f32 inference (the default and the reference).
     #[default]
@@ -59,7 +58,7 @@ pub enum InferencePrecision {
 /// and a comfortably fast i8 node flips back once the estimated f32
 /// cost fits the deadline again. Requires telemetry to be enabled —
 /// with it off there are no measurements and the check is skipped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanConfig {
     /// Check cadence, in fused stages (`>= 1`).
     pub every_stages: u64,

@@ -21,7 +21,6 @@ use crate::Result;
 use insitu_devices::{FpgaSpec, GpuModel, GpuSpec, NetworkShapes};
 use insitu_fpga::WssNwsPipeline;
 use insitu_telemetry::TelemetrySnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Measured i8-vs-f32 trade-off a node feeds back to the planner.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// analytical model — the planner folds them into the Eqs. (10)–(14)
 /// time model to decide whether the quantized configuration still
 /// meets the user's deadline and what batch it admits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantProfile {
     /// Measured i8 throughput multiplier over f32 (e.g. `1.8`).
     pub speedup: f64,
@@ -52,7 +51,7 @@ pub struct QuantProfile {
 /// the achieved uplink rate. [`plan_with_measurements`] then admits
 /// the largest batch whose **measured p90** per-image cost meets the
 /// user deadline, instead of trusting Eqs. 5–14's assumed costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredProfile {
     /// Median per-image stage latency, seconds.
     pub per_image_p50_s: f64,
@@ -114,7 +113,7 @@ pub fn precision_label(precision: InferencePrecision) -> &'static str {
 }
 
 /// Deployment constraints supplied by the end user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanRequest {
     /// Availability requirement for the inference task.
     pub availability: Availability,
@@ -131,7 +130,7 @@ impl Default for PlanRequest {
 }
 
 /// The planner's decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodePlan {
     /// Chosen working mode.
     pub mode: WorkingMode,

@@ -3,11 +3,10 @@
 use crate::Result;
 use insitu_data::Dataset;
 use insitu_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A model refresh produced by the Cloud after incremental training on
 /// uploaded valuable data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelUpdate {
     /// Monotonically increasing model version.
     pub version: u32,

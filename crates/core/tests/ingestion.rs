@@ -1,10 +1,10 @@
 //! The overlapped-ingestion contract, end to end.
 //!
 //! The load-bearing property: an overlapped session under the lossless
-//! `Block` policy with lockstep uploads is a **bitwise drop-in** for
-//! the sequential vec-driven loop — identical [`SessionStats`]
-//! trajectory and identical final model state — across seeds and
-//! kernel thread counts. The backpressure tests then pin each policy's
+//! `Block` policy with lockstep uploads is a **bitwise drop-in** for a
+//! plain sequential loop over the node's and the Cloud's public calls
+//! — identical [`SessionStats`] trajectory and identical final model
+//! state — across seeds and kernel thread counts. The backpressure tests then pin each policy's
 //! observable behavior under a deliberately slow consumer: `Block`
 //! stalls the producer and loses nothing, `DropOldest` sheds the
 //! oldest frames and counts them, `Degrade` shrinks the node's batch
@@ -17,12 +17,14 @@ use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use insitu_core::{
-    run_ingested_session, run_replayed_session, run_streaming_session_with, Availability,
-    CloudEndpoint, DegradeConfig, DiagnosisPolicy, InferencePrecision, IngestPolicy,
-    IngestSessionConfig, InsituNode, ModelUpdate, NodePlan, PlanRequest, Platform, QuantProfile,
-    ReplanConfig, SessionConfig, SessionStats, WorkingMode,
+    run_ingested_session, Availability, CloudEndpoint, DegradeConfig, DiagnosisPolicy,
+    InferencePrecision, IngestPolicy, IngestSessionConfig, InsituNode, ModelUpdate, NodePlan,
+    PlanRequest, Platform, QuantProfile, ReplanConfig, SessionConfig, SessionStats, WorkingMode,
 };
-use insitu_data::{Condition, Dataset, DriftSchedule, PermutationSet, SyntheticDriftSource};
+use insitu_data::{
+    Condition, Dataset, DriftSchedule, FrameArena, PermutationSet, ReplaySource, StreamSource,
+    SyntheticDriftSource,
+};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
@@ -122,16 +124,53 @@ fn drift_source(frames: usize, images: usize, seed: u64) -> SyntheticDriftSource
     .unwrap()
 }
 
-fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
+/// A pre-generated stream replayed through the ingest pipeline.
+fn replay(stages: usize, images: usize, seed: u64) -> Box<ReplaySource> {
     let mut rng = Rng::seed_from(seed);
-    (0..stages)
+    let stream = (0..stages)
         .map(|_| Dataset::generate(images, CLASSES, &Condition::in_situ(), &mut rng).unwrap())
-        .collect()
+        .collect();
+    Box::new(ReplaySource::new(Arc::new(stream)))
 }
 
-/// Everything a session's outcome carries, in comparable form.
-fn session_fingerprint(mut node: InsituNode, stats: &SessionStats) -> (SessionStats, u32, Vec<insitu_tensor::Tensor>) {
-    (stats.clone(), node.version(), state_dict(node.inference_mut()))
+/// Everything a lockstep session's outcome carries, in comparable
+/// form: the [`SessionStats`] counters (telemetry stripped, since other
+/// tests in this binary may be recording), the final model version and
+/// the final inference weights.
+type Outcome = (SessionStats, u32, Vec<insitu_tensor::Tensor>);
+
+fn session_outcome(mut node: InsituNode, stats: SessionStats) -> Outcome {
+    let counters =
+        SessionStats { telemetry: Default::default(), metrics: Default::default(), ..stats };
+    (counters, node.version(), state_dict(node.inference_mut()))
+}
+
+/// The differential oracle: a lockstep session replayed as a plain
+/// sequential loop over the node's and the Cloud's public calls — no
+/// runtime, no actor threads, no queue.
+fn sequential_outcome(
+    mut node: InsituNode,
+    cloud: &Mutex<EchoCloud>,
+    mut source: SyntheticDriftSource,
+    batch: usize,
+) -> Outcome {
+    let mut arena = FrameArena::default();
+    let mut stats = SessionStats::default();
+    node.prewarm(batch).unwrap();
+    while let Some(data) = source.next_frame(&mut arena).unwrap() {
+        let outcome = node.process_stage(&data, batch).unwrap();
+        stats.batches += 1;
+        stats.images_seen += data.len() as u64;
+        stats.images_uploaded += outcome.valuable.len() as u64;
+        if !outcome.valuable.is_empty() {
+            let payload = node.upload_payload(&data, &outcome).unwrap();
+            let update = cloud.lock().incremental_update(&payload).unwrap();
+            node.install_update(&update).unwrap();
+            stats.updates_installed += 1;
+        }
+    }
+    stats.replans = node.replans();
+    (stats, node.version(), state_dict(node.inference_mut()))
 }
 
 proptest! {
@@ -139,8 +178,8 @@ proptest! {
 
     /// The differential oracle: an overlapped `Block` session with
     /// lockstep uploads must be bitwise identical — same
-    /// [`SessionStats`], same final model version and weights — to the
-    /// sequential loop over the materialized stream, across seeds,
+    /// [`SessionStats`] counters, same final model version and weights
+    /// — to the sequential loop over the same frames, across seeds,
     /// queue capacities and 1/2/4 kernel threads.
     #[test]
     fn block_overlapped_session_is_bitwise_identical_to_sequential(
@@ -157,15 +196,13 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let (sequential, overlapped) = with_threads(threads, || {
                 let source = drift_source(frames, images, seed.wrapping_add(17));
-                let oracle_stream = source.materialize().unwrap();
-                let (node_a, stats_a) = run_streaming_session_with(
+                let sequential = sequential_outcome(
                     make_node(seed),
-                    EchoCloud::for_seed(seed),
-                    oracle_stream,
-                    &session,
-                )
-                .unwrap();
-                let (node_b, stats_b, summary) = run_ingested_session(
+                    &EchoCloud::for_seed(seed),
+                    source.clone(),
+                    session.batch_size,
+                );
+                let (node, stats, summary) = run_ingested_session(
                     make_node(seed),
                     EchoCloud::for_seed(seed),
                     Box::new(source),
@@ -187,10 +224,7 @@ proptest! {
                     summary.fresh_buffers,
                     capacity
                 );
-                (
-                    session_fingerprint(node_a, &stats_a),
-                    session_fingerprint(node_b, &stats_b),
-                )
+                (sequential, session_outcome(node, stats))
             });
             prop_assert_eq!(&sequential, &overlapped);
         }
@@ -209,7 +243,7 @@ fn block_policy_stalls_a_slow_consumer_without_loss() {
         policy: IngestPolicy::Block,
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 22)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(8, 8, 22), &config).unwrap();
     assert_eq!(stats.batches, 8, "Block must deliver every frame");
     assert_eq!(summary.frames, 8);
     assert_eq!(summary.drops, 0, "Block never drops");
@@ -233,7 +267,7 @@ fn drop_oldest_sheds_frames_under_a_slow_consumer() {
     };
     let frames = 10u64;
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(frames as usize, 8, 24)), &config)
+        run_ingested_session(node, cloud, replay(frames as usize, 8, 24), &config)
             .unwrap();
     assert_eq!(summary.frames, frames);
     assert!(summary.drops > 0, "a 30 ms/frame consumer behind a cap-1 queue must drop");
@@ -260,7 +294,7 @@ fn degrade_policy_halves_the_batch_under_pressure() {
         }),
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 26)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(8, 8, 26), &config).unwrap();
     assert_eq!(stats.batches, 8, "Degrade keeps every frame");
     assert_eq!(summary.drops, 0, "Degrade sheds load on the consumer, not the stream");
     assert!(summary.degrades >= 1, "a backed-up queue must shrink the batch");
@@ -289,7 +323,7 @@ fn degrade_policy_flips_precision_at_the_batch_floor() {
         }),
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 29)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(8, 8, 29), &config).unwrap();
     assert_eq!(stats.batches, 8);
     assert!(
         summary.precision_flips >= 1,
@@ -340,7 +374,7 @@ fn queue_pressure_replans_into_the_quantized_configuration() {
         policy: IngestPolicy::Block,
     };
     let (node, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 33)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(8, 8, 33), &config).unwrap();
     assert!(summary.max_queue_depth >= 1, "the slow consumer must back the queue up");
     assert!(stats.replans >= 1, "queue depth must trigger a re-plan");
     assert!(

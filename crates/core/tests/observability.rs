@@ -13,11 +13,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use insitu_core::{
-    run_streaming_session, validate_prometheus, Availability, CloudEndpoint, DiagnosisPolicy,
-    InferencePrecision, InsituNode, MeasuredProfile, ModelUpdate, NodePlan, PlanRequest, Platform,
-    ReplanConfig, WorkingMode,
+    run_ingested_session, validate_prometheus, Availability, CloudEndpoint, DiagnosisPolicy,
+    InferencePrecision, IngestSessionConfig, InsituNode, MeasuredProfile, ModelUpdate, NodePlan,
+    PlanRequest, Platform, ReplanConfig, SessionConfig, WorkingMode,
 };
-use insitu_data::{Condition, Dataset, PermutationSet};
+use insitu_data::{Condition, Dataset, PermutationSet, ReplaySource};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
@@ -87,6 +87,19 @@ fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
         .collect()
 }
 
+/// Replays `stream` through a session at batch 8.
+fn replay<C: CloudEndpoint + Send + 'static>(
+    node: InsituNode,
+    cloud: std::sync::Arc<parking_lot::Mutex<C>>,
+    stream: Vec<Dataset>,
+) -> insitu_core::Result<(InsituNode, insitu_core::SessionStats)> {
+    let source = Box::new(ReplaySource::new(std::sync::Arc::new(stream)));
+    let config =
+        IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };
+    let (node, stats, _) = run_ingested_session(node, cloud, source, &config)?;
+    Ok((node, stats))
+}
+
 /// `MeasuredProfile::from_snapshot` reads the per-image latency
 /// histograms (by precision label), the i8/f32 speedup, and the
 /// achieved uplink rate, with exact values when every sample in a
@@ -125,7 +138,7 @@ fn session_exports_validate_and_carry_percentiles() {
     let mut node = make_node(41);
     let params = state_dict(node.inference_mut());
     let cloud = std::sync::Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
-    let (_, stats) = run_streaming_session(node, cloud, stream(4, 16, 42), 8).unwrap();
+    let (_, stats) = replay(node, cloud, stream(4, 16, 42)).unwrap();
 
     assert!(stats.telemetry.epoch > 0, "session must run in a fresh telemetry epoch");
     assert_eq!(stats.metrics.epoch(), stats.telemetry.epoch);
@@ -187,7 +200,7 @@ fn perturbed_session_replans_online() {
     node.set_injected_stage_delay(Some(Duration::from_millis(40)));
 
     let cloud = std::sync::Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
-    let (node, stats) = run_streaming_session(node, cloud, stream(6, 8, 44), 8).unwrap();
+    let (node, stats) = replay(node, cloud, stream(6, 8, 44)).unwrap();
 
     assert!(stats.replans >= 1, "the perturbed session never re-planned");
     assert_eq!(stats.replans, node.replans());

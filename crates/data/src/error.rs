@@ -20,6 +20,11 @@ pub enum DataError {
         /// Actual shape.
         actual: Vec<usize>,
     },
+    /// The ingestion producer thread panicked.
+    ProducerPanicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for DataError {
@@ -29,6 +34,9 @@ impl fmt::Display for DataError {
             DataError::BadConfig { reason } => write!(f, "bad configuration: {reason}"),
             DataError::BadImage { expected, actual } => {
                 write!(f, "bad image shape: expected {expected:?}, got {actual:?}")
+            }
+            DataError::ProducerPanicked { message } => {
+                write!(f, "ingest producer panicked: {message}")
             }
         }
     }

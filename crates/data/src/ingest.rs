@@ -325,9 +325,9 @@ struct QueueState {
 /// inspection, and an eviction mode — the backpressure coupling
 /// between the ingestion producer and the compute consumer.
 ///
-/// (The vendored channel shim has no `try_send`/depth API, and the
-/// policies need both; a mutex-and-condvar queue over a `VecDeque` is
-/// all this takes.)
+/// (`std::sync::mpsc::SyncSender` can neither report its depth nor
+/// evict its oldest message, and the policies need both; a
+/// mutex-and-condvar queue over a `VecDeque` is all this takes.)
 #[derive(Debug)]
 pub struct IngestQueue {
     state: Mutex<QueueState>,
@@ -493,6 +493,10 @@ impl IngestPipeline {
         let producer = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || -> Result<ProducerReport> {
+                // Close on *every* exit, unwinding included — a path
+                // that leaves the queue open would block the consumer
+                // forever.
+                let _close = CloseOnDrop(&queue);
                 let mut arena = FrameArena::default();
                 let mut seq = 0u64;
                 let mut produce_ns_total = 0u64;
@@ -520,9 +524,6 @@ impl IngestPipeline {
                         }
                     }
                 })();
-                // Close on *every* exit — an error path that leaves
-                // the queue open would block the consumer forever.
-                queue.close();
                 run?;
                 Ok(ProducerReport {
                     frames: seq,
@@ -567,17 +568,29 @@ impl IngestPipeline {
     ///
     /// # Errors
     ///
-    /// Returns the producer's error, or [`DataError::BadConfig`] if
-    /// the producer thread panicked.
+    /// Returns the producer's error, or [`DataError::ProducerPanicked`]
+    /// (carrying the panic message) if the producer thread panicked.
     pub fn finish(mut self) -> Result<ProducerReport> {
         self.queue.abandon();
         let handle = self.producer.take().expect("finish consumes the only handle");
-        match handle.join() {
-            Ok(report) => report,
-            Err(_) => Err(DataError::BadConfig {
-                reason: "ingest producer thread panicked".into(),
-            }),
-        }
+        handle.join().unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(DataError::ProducerPanicked { message })
+        })
+    }
+}
+
+/// Closes the queue when dropped, so the producer thread closes it
+/// even when it unwinds.
+struct CloseOnDrop<'a>(&'a IngestQueue);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -775,6 +788,39 @@ mod tests {
         // Cancel mid-stream: the blocked producer must wake and exit.
         let report = pipeline.finish().unwrap();
         assert!(report.frames < 8);
+    }
+
+    /// A source that panics on its first frame (injected fault).
+    struct PanickingSource;
+
+    impl StreamSource for PanickingSource {
+        fn next_frame(&mut self, _arena: &mut FrameArena) -> Result<Option<Dataset>> {
+            panic!("injected source panic");
+        }
+    }
+
+    #[test]
+    fn producer_panic_ends_the_stream_and_reports_the_message() {
+        let pipeline =
+            IngestPipeline::spawn(Box::new(PanickingSource), IngestConfig::default());
+        // The consumer runs on its own thread so that a queue left
+        // open by the unwinding producer fails this test instead of
+        // hanging it.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let first = pipeline.next_frame();
+            let _ = tx.send((first.is_none(), pipeline.finish()));
+        });
+        let (ended, report) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("consumer still blocked 10 s after the producer panicked");
+        assert!(ended, "a panicked producer delivers no frame");
+        match report {
+            Err(DataError::ProducerPanicked { message }) => {
+                assert!(message.contains("injected source panic"), "{message}");
+            }
+            other => panic!("expected ProducerPanicked, got {other:?}"),
+        }
     }
 
     #[test]

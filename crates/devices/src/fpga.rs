@@ -12,10 +12,9 @@
 
 use crate::layers::{ConvShape, FcShape, LayerShape, NetworkShapes};
 use crate::spec::FpgaSpec;
-use serde::{Deserialize, Serialize};
 
 /// A loop-tiling choice for the convolution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// Output-feature-map unroll factor.
     pub tm: u32,
@@ -31,7 +30,7 @@ impl Tiling {
 }
 
 /// Per-batch latency split for the FPGA model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaBreakdown {
     /// Seconds in CONV layers for the whole batch.
     pub conv_s: f64,

@@ -11,10 +11,9 @@
 
 use crate::layers::{ConvShape, FcShape, LayerShape, NetworkShapes};
 use crate::spec::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-batch latency split into the paper's two layer classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuBreakdown {
     /// Seconds spent in CONV layers for the whole batch.
     pub conv_s: f64,

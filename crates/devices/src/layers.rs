@@ -2,11 +2,10 @@
 //! dimensions of the full-size networks the paper characterizes.
 
 use insitu_nn::{LayerDesc, NetworkDesc};
-use serde::{Deserialize, Serialize};
 
 /// Shape of one convolutional layer in the paper's `M, N, K, R, C`
 /// notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Output feature maps (filters).
     pub m: usize,
@@ -52,7 +51,7 @@ impl ConvShape {
 }
 
 /// Shape of one fully connected layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcShape {
     /// Input features.
     pub input: usize,
@@ -73,7 +72,7 @@ impl FcShape {
 }
 
 /// One compute-relevant layer of a network under analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerShape {
     /// Convolutional layer.
     Conv(ConvShape),
@@ -97,7 +96,7 @@ impl LayerShape {
 }
 
 /// A network as seen by the analytical models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkShapes {
     /// Network name for reports.
     pub name: String,

@@ -8,10 +8,8 @@
 //! static vs dynamic power — land in the regime the paper
 //! characterizes.
 
-use serde::{Deserialize, Serialize};
-
 /// A mobile GPU in the style of the NVIDIA Jetson TX1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Core clock in Hz.
     pub freq_hz: f64,
@@ -84,7 +82,7 @@ impl GpuSpec {
 }
 
 /// An FPGA in the style of the Xilinx Virtex-7 VX690T.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaSpec {
     /// Fabric clock in Hz.
     pub freq_hz: f64,
@@ -127,7 +125,7 @@ impl FpgaSpec {
 
 /// The Cloud training GPU (Titan X-like), used by the model-update
 /// energy/time accounting of the end-to-end experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudGpuSpec {
     /// Peak fp32 throughput in ops/second.
     pub peak_ops: f64,
@@ -157,7 +155,7 @@ impl CloudGpuSpec {
 
 /// Network uplink between an IoT node and the Cloud, used for the
 /// data-movement energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UplinkSpec {
     /// Sustained throughput in bytes/second.
     pub bw: f64,

@@ -5,13 +5,12 @@
 use crate::engine::{DotProductEngine, PeArrayEngine};
 use crate::memory::{corun_traffic, SharingLevel, TrafficReport};
 use insitu_devices::{ConvShape, FpgaSpec};
-use serde::{Deserialize, Serialize};
 
 /// Number of diagnosis patch inputs (3×3 jigsaw grid).
 pub const PATCHES: usize = 9;
 
 /// Which CONV architecture executes the co-running tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchKind {
     /// No weight sharing: one large dot-product engine time-multiplexed
     /// over the inference task and the 9 diagnosis patches.
@@ -43,7 +42,7 @@ impl ArchKind {
 }
 
 /// Result of co-running all CONV layers once through an architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorunReport {
     /// Architecture evaluated.
     pub arch: ArchKind,

@@ -12,10 +12,9 @@
 //!   the idleness of the uniform design.
 
 use insitu_devices::{ConvShape, FcShape};
-use serde::{Deserialize, Serialize};
 
 /// A `Tm x Tn` dot-product convolution engine (paper Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DotProductEngine {
     /// Output-feature-map unroll factor.
     pub tm: u32,
@@ -77,7 +76,7 @@ impl DotProductEngine {
 
 /// A `Tr x Tc` output-neuron PE array (paper Fig. 18, one convolution
 /// engine of the WSS architecture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeArrayEngine {
     /// Output-row unroll factor.
     pub tr: u32,

@@ -14,10 +14,9 @@
 //! the diagnosis weights once per patch engine.
 
 use insitu_devices::ConvShape;
-use serde::{Deserialize, Serialize};
 
 /// How weights reach the convolution engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharingLevel {
     /// No sharing at all: every consumer streams its own copy.
     None,
@@ -27,7 +26,7 @@ pub enum SharingLevel {
 
 /// Weight-traffic accounting for one co-running CONV execution
 /// (inference + 9-patch diagnosis).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficReport {
     /// Bytes streamed for the inference task's weights.
     pub inference_bytes: u64,

@@ -6,10 +6,9 @@ use crate::arch::PATCHES;
 use crate::engine::{DotProductEngine, PeArrayEngine};
 use crate::memory::{corun_traffic, SharingLevel};
 use insitu_devices::{ConvShape, FcShape, FpgaSpec, NetworkShapes};
-use serde::{Deserialize, Serialize};
 
 /// The four end-to-end designs compared in the paper's Fig. 23.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// Dot-product engines, no weight sharing, no FCN batching.
     Nws,
@@ -52,7 +51,7 @@ pub struct WssNwsPipeline {
 }
 
 /// One throughput evaluation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputPoint {
     /// Chosen batch size.
     pub batch: usize,

@@ -6,10 +6,8 @@
 //! `insitu-devices` crate can also describe full-size published networks
 //! (AlexNet, VGG-16) it never trains.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape description of one compute-relevant layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerDesc {
     /// Convolutional layer in the paper's notation.
     Conv {
@@ -68,7 +66,7 @@ impl LayerDesc {
 
 /// Shape description of a whole network: the ordered list of its
 /// compute-relevant layers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkDesc {
     /// Network name, e.g. `"alexnet"`.
     pub name: String,

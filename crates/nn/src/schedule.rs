@@ -1,10 +1,8 @@
 //! Learning-rate schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule: maps an epoch index to a multiplier on
 /// the base learning rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LrSchedule {
     /// Constant learning rate.
     #[default]

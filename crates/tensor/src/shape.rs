@@ -1,7 +1,6 @@
 //! Tensor shapes and row-major index arithmetic.
 
 use crate::error::TensorError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dimensions of a tensor, in row-major (C) order.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(s.ndim(), 3);
 /// assert_eq!(s.dims(), &[2, 3, 4]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -4,7 +4,6 @@ use crate::error::TensorError;
 use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
@@ -27,7 +26,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

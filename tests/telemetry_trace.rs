@@ -7,8 +7,11 @@
 //! one test function (this file is its own test binary).
 
 use insitu::cloud::{pretrain, Cloud, IncrementalConfig, PretrainConfig};
-use insitu::core::{run_streaming_session, DiagnosisPolicy, InsituNode};
-use insitu::data::{Condition, Dataset};
+use insitu::core::{
+    run_ingested_session, DiagnosisPolicy, IngestSessionConfig, InsituNode, SessionConfig,
+    SessionStats,
+};
+use insitu::data::{Condition, Dataset, ReplaySource};
 use insitu::nn::models::mini_alexnet;
 use insitu::nn::transfer::transfer_and_freeze;
 use insitu::telemetry;
@@ -50,11 +53,17 @@ fn deployment(seed: u64) -> (InsituNode, Arc<Mutex<Cloud>>) {
     (node, Arc::new(Mutex::new(cloud)))
 }
 
-fn stream(seed: u64) -> Vec<Dataset> {
-    let mut rng = Rng::seed_from(seed);
-    (0..3)
+/// Runs a fresh deployment over a 3-stage stream at batch 8.
+fn session(seed: u64) -> SessionStats {
+    let (node, cloud) = deployment(seed);
+    let mut rng = Rng::seed_from(seed + 1);
+    let stream = (0..3)
         .map(|_| Dataset::generate(16, CLASSES, &Condition::in_situ(), &mut rng).unwrap())
-        .collect()
+        .collect();
+    let source = Box::new(ReplaySource::new(Arc::new(stream)));
+    let config =
+        IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };
+    run_ingested_session(node, cloud, source, &config).unwrap().1
 }
 
 #[test]
@@ -62,8 +71,7 @@ fn traced_session_exports_chrome_trace() {
     // --- Disabled: a full session records zero events. ----------------
     telemetry::set_enabled(false);
     telemetry::reset();
-    let (node, cloud) = deployment(61);
-    let (_, stats) = run_streaming_session(node, cloud, stream(62), 8).unwrap();
+    let stats = session(61);
     assert!(stats.images_uploaded > 0, "oracle policy should upload");
     assert!(
         stats.telemetry.is_empty(),
@@ -76,8 +84,7 @@ fn traced_session_exports_chrome_trace() {
     insitu::tensor::set_num_threads(2);
     telemetry::set_enabled(true);
     telemetry::reset();
-    let (node, cloud) = deployment(63);
-    let (_, stats) = run_streaming_session(node, cloud, stream(64), 8).unwrap();
+    let stats = session(63);
     telemetry::set_enabled(false);
     insitu::tensor::set_num_threads(1);
 
