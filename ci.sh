@@ -19,9 +19,17 @@ cargo test -q -p insitu-tensor --test packed_gemm
 # the i8 micro-kernel together with the f32 one), and the quantized
 # end-to-end path must hold held-out accuracy within two points of
 # f32 (plus exact f32 restoration when the precision knob flips back).
+# Incremental recalibration must equal a fresh calibration bitwise
+# (the nn::quant differential suite), and an i8 node after suffix-only
+# or mutated-net installs must run stages bitwise like a freshly
+# calibrated one (the core node suite) — under both kernels too.
 cargo test -q -p insitu-tensor --test quant_gemm
 INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-tensor --test quant_gemm
 cargo test -q -p insitu-core --test quantized_inference
+cargo test -q -p insitu-nn --lib quant::
+cargo test -q -p insitu-core --lib node::
+INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-nn --lib quant::
+INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-core --lib node::
 
 # SIMD dispatch gates: every dispatched op must match its scalar body
 # bitwise across ragged shapes and 1/2/4 threads, under both the

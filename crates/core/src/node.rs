@@ -13,7 +13,7 @@ use crate::update::ModelUpdate;
 use crate::Result;
 use insitu_data::{Dataset, PermutationSet};
 use insitu_devices::NetworkShapes;
-use insitu_nn::serialize::load_state_dict;
+use insitu_nn::serialize::{check_state_dict, load_state_dict, state_dict};
 use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
@@ -126,7 +126,6 @@ pub struct InsituNode {
     rng: Rng,
     precision: InferencePrecision,
     quantized: Option<QuantizedNet>,
-    calib_images: Option<Tensor>,
     plan: Option<NodePlan>,
     replan: Option<ReplanConfig>,
     stages_processed: u64,
@@ -173,7 +172,6 @@ impl InsituNode {
             rng: Rng::seed_from(seed),
             precision: InferencePrecision::F32,
             quantized: None,
-            calib_images: None,
             plan: None,
             replan: None,
             stages_processed: 0,
@@ -194,12 +192,14 @@ impl InsituNode {
         self.quantized.as_ref()
     }
 
-    /// Calibrates an i8 copy of the inference network over `calib`
+    /// Calibrates an i8 twin of the inference network over `calib`
     /// (a held-out split that should mirror the deployment's input
     /// distribution) and switches inference to
-    /// [`InferencePrecision::I8`]. The calibration images are retained
-    /// so [`install_update`](InsituNode::install_update) can
-    /// recalibrate automatically after a model refresh.
+    /// [`InferencePrecision::I8`]. The calibration forward runs on the
+    /// deployed network itself (Eval mode, no clone), and the
+    /// [`QuantizedNet`] keeps the split so
+    /// [`install_update`](InsituNode::install_update) can recalibrate
+    /// incrementally after a model refresh.
     ///
     /// # Errors
     ///
@@ -209,8 +209,7 @@ impl InsituNode {
         let _t = telemetry::span_with("node.quantize", || {
             format!("calibrate over {} images", calib.len())
         });
-        self.quantized = Some(QuantizedNet::calibrate(&self.inference, calib.images())?);
-        self.calib_images = Some(calib.images().clone());
+        self.quantized = Some(QuantizedNet::calibrate(&mut self.inference, calib.images())?);
         self.precision = InferencePrecision::I8;
         Ok(())
     }
@@ -683,27 +682,56 @@ impl InsituNode {
         Ok(data.subset(&outcome.valuable)?)
     }
 
-    /// Installs a model refresh from the Cloud. If the node is running
-    /// quantized inference, the quantized network is recalibrated
-    /// against the retained calibration split — fixed-point scales are
-    /// only valid for the weights they were measured with.
+    /// Installs a model refresh from the Cloud, all or nothing: both
+    /// state dicts are checked before either is loaded, and a rejected
+    /// update leaves the f32 weights, the jigsaw network, the version
+    /// and the quantized network bitwise unchanged.
+    ///
+    /// A node running quantized inference recalibrates its
+    /// [`QuantizedNet`] in place — fixed-point scales are only valid
+    /// for the weights they were measured with. The Cloud's
+    /// weight-shared updates leave the frozen prefix bitwise
+    /// unchanged, so the refresh resumes the calibration forward at
+    /// the frozen cut and requantizes only the changed suffix
+    /// (bitwise identical to a fresh
+    /// [`enable_quantized`](InsituNode::enable_quantized)). Records an
+    /// `install` flight event with the version and the resume layer.
     ///
     /// # Errors
     ///
     /// Returns an error if a snapshot does not match the deployed
-    /// architecture.
+    /// architecture, or if the calibration split no longer flows
+    /// through the updated network.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<()> {
-        load_state_dict(&mut self.inference, &update.inference_params)?;
+        check_state_dict(&mut self.inference, &update.inference_params)?;
+        if let Some(jp) = &update.jigsaw_params {
+            check_state_dict(&mut self.jigsaw, jp)?;
+        }
+        let mut how = "f32".to_string();
+        if let Some(q) = &mut self.quantized {
+            let mut span = telemetry::span("node.quantize_refresh");
+            let previous = state_dict(&mut self.inference);
+            load_state_dict(&mut self.inference, &update.inference_params)?;
+            let refresh = match q.recalibrate(&mut self.inference) {
+                Ok(r) => r,
+                Err(e) => {
+                    load_state_dict(&mut self.inference, &previous)?;
+                    return Err(e.into());
+                }
+            };
+            how = format!(
+                "i8 resumed at layer {}, {} layers requantized",
+                refresh.resumed_at, refresh.requantized
+            );
+            span.set_label(|| how.clone());
+        } else {
+            load_state_dict(&mut self.inference, &update.inference_params)?;
+        }
         if let Some(jp) = &update.jigsaw_params {
             load_state_dict(&mut self.jigsaw, jp)?;
         }
-        if self.quantized.is_some() {
-            if let Some(calib) = &self.calib_images {
-                let _t = telemetry::span("node.quantize_refresh");
-                self.quantized = Some(QuantizedNet::calibrate(&self.inference, calib)?);
-            }
-        }
         self.version = update.version;
+        recorder::record("install", format!("v{}: {how}", update.version));
         Ok(())
     }
 }
@@ -874,5 +902,139 @@ mod tests {
         assert_eq!(before.len(), after.len());
         assert_ne!(before, after, "update with new weights must refresh the scales");
         n.process_stage(&data(), 4).unwrap();
+    }
+
+    /// A weight-shared update of `n`'s current weights: every tensor
+    /// from conv4 on (the suffix behind the 3 shared convs) rescaled.
+    fn suffix_update(n: &mut InsituNode, version: u32, factor: f32) -> ModelUpdate {
+        let mut params = state_dict(n.inference_mut());
+        for t in &mut params[6..] {
+            for v in t.as_mut_slice() {
+                *v = *v * factor + 1e-3;
+            }
+        }
+        ModelUpdate {
+            version,
+            inference_params: params,
+            jigsaw_params: None,
+            training_ops: 1,
+            eval_accuracy: None,
+        }
+    }
+
+    fn bits(dict: &[Tensor]) -> Vec<u32> {
+        dict.iter().flat_map(|t| t.as_slice().iter().map(|v| v.to_bits())).collect()
+    }
+
+    fn calib_records(n: &InsituNode) -> Vec<(String, u32, u32)> {
+        n.quantized()
+            .unwrap()
+            .calibration()
+            .iter()
+            .map(|c| (c.name.clone(), c.in_scale.to_bits(), c.max_weight_scale.to_bits()))
+            .collect()
+    }
+
+    /// Asserts two i8 nodes at the same RNG position run a stage
+    /// bitwise alike: calibration records, predictions, and the
+    /// logit-derived confidence scores.
+    fn assert_same_i8_stage(a: &mut InsituNode, b: &mut InsituNode) {
+        assert_eq!(calib_records(a), calib_records(b));
+        let d = data();
+        let policy = DiagnosisPolicy::InferenceConfidence { threshold: 0.5 };
+        a.set_policy(policy);
+        b.set_policy(policy);
+        let (x, y) = (a.process_stage(&d, 4).unwrap(), b.process_stage(&d, 4).unwrap());
+        assert_eq!(x.predictions, y.predictions);
+        assert_eq!(
+            x.verdicts.iter().map(|v| (v.valuable, v.score.to_bits())).collect::<Vec<_>>(),
+            y.verdicts.iter().map(|v| (v.valuable, v.score.to_bits())).collect::<Vec<_>>()
+        );
+    }
+
+    fn calib() -> Dataset {
+        Dataset::generate(6, 4, &Condition::ideal(), &mut Rng::seed_from(19)).unwrap()
+    }
+
+    #[test]
+    fn suffix_installs_match_a_freshly_calibrated_node() {
+        let calib = calib();
+        let mut n = node();
+        n.enable_quantized(&calib).unwrap();
+        let mut last = None;
+        for (v, factor) in [(11, 1.1), (12, 0.95), (13, 1.02)] {
+            let update = suffix_update(&mut n, v, factor);
+            n.install_update(&update).unwrap();
+            last = Some(update);
+        }
+        // The post-mortem names what each install touched: the frozen
+        // cut is layer 7, and conv4, conv5, fc6, fc7, fc8 moved.
+        let dump = recorder::dump("suffix installs");
+        let want = concat!(
+            r#""kind":"install","detail":"#,
+            r#""v13: i8 resumed at layer 7, 5 layers requantized""#
+        );
+        assert!(dump.contains(want), "no install event in {dump}");
+        let mut fresh = node();
+        fresh.install_update(&last.unwrap()).unwrap();
+        fresh.enable_quantized(&calib).unwrap();
+        assert_same_i8_stage(&mut n, &mut fresh);
+    }
+
+    #[test]
+    fn install_after_inference_mut_matches_a_freshly_calibrated_node() {
+        let calib = calib();
+        let mut n = node();
+        n.enable_quantized(&calib).unwrap();
+        let first = suffix_update(&mut n, 1, 1.1);
+        n.install_update(&first).unwrap();
+        // Between installs: thaw conv3 and retouch conv2 in place.
+        n.inference_mut().freeze_first_convs(2).unwrap();
+        n.inference_mut().layer_mut(3).unwrap().visit_params(&mut |p, _| {
+            for v in p.as_mut_slice() {
+                *v *= 1.05;
+            }
+        });
+        let update = suffix_update(&mut n, 2, 0.9);
+        n.install_update(&update).unwrap();
+        let mut fresh = node();
+        fresh.inference_mut().freeze_first_convs(2).unwrap();
+        fresh.install_update(&update).unwrap();
+        fresh.enable_quantized(&calib).unwrap();
+        assert_same_i8_stage(&mut n, &mut fresh);
+    }
+
+    #[test]
+    fn rejected_install_leaves_the_node_unchanged() {
+        let calib = calib();
+        let mut n = node();
+        n.enable_quantized(&calib).unwrap();
+        let mut reference = node();
+        reference.enable_quantized(&calib).unwrap();
+        let inference = state_dict(n.inference_mut());
+        let jigsaw = state_dict(n.jigsaw_mut());
+
+        // A valid inference dict next to a bad jigsaw dict.
+        let mut bad = suffix_update(&mut n, 4, 1.1);
+        bad.jigsaw_params = Some(vec![Tensor::zeros([1])]);
+        assert!(n.install_update(&bad).is_err());
+        // An inference net the calibration split no longer flows
+        // through: the dicts fit, the recalibration does not.
+        let mut broken = node();
+        broken.enable_quantized(&calib).unwrap();
+        broken
+            .inference_mut()
+            .push(insitu_nn::layers::MaxPool2d::new("bad", 4, 2, 2, 2, 2).unwrap());
+        let records = calib_records(&broken);
+        let update = suffix_update(&mut broken, 4, 1.1);
+        assert!(broken.install_update(&update).is_err());
+        assert_eq!(bits(&state_dict(broken.inference_mut())), bits(&inference));
+        assert_eq!(calib_records(&broken), records);
+        assert_eq!(broken.version(), 0);
+
+        assert_eq!(bits(&state_dict(n.inference_mut())), bits(&inference));
+        assert_eq!(bits(&state_dict(n.jigsaw_mut())), bits(&jigsaw));
+        assert_eq!(n.version(), 0);
+        assert_same_i8_stage(&mut n, &mut reference);
     }
 }

@@ -46,7 +46,10 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Serializes tests that enable the process-global telemetry registry.
+/// Serializes tests that enable the process-global telemetry registry
+/// with every test that runs a session: a session starting while
+/// telemetry is on advances the epoch, which clears everything another
+/// test's recording window has captured so far.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<StdMutex<()>> = OnceLock::new();
     GATE.get_or_init(|| StdMutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
@@ -193,6 +196,7 @@ proptest! {
             uplink_capacity: 4,
             lockstep_uploads: true,
         };
+        let _g = gate();
         for threads in [1usize, 2, 4] {
             let (sequential, overlapped) = with_threads(threads, || {
                 let source = drift_source(frames, images, seed.wrapping_add(17));
@@ -233,6 +237,7 @@ proptest! {
 
 #[test]
 fn block_policy_stalls_a_slow_consumer_without_loss() {
+    let _g = gate();
     let mut node = make_node(21);
     // A consumer ~25x slower than the producer: the queue saturates.
     node.set_injected_stage_delay(Some(Duration::from_millis(25)));
@@ -257,6 +262,7 @@ fn block_policy_stalls_a_slow_consumer_without_loss() {
 
 #[test]
 fn drop_oldest_sheds_frames_under_a_slow_consumer() {
+    let _g = gate();
     let mut node = make_node(23);
     node.set_injected_stage_delay(Some(Duration::from_millis(30)));
     let cloud = EchoCloud::for_seed(23);
@@ -280,6 +286,7 @@ fn drop_oldest_sheds_frames_under_a_slow_consumer() {
 
 #[test]
 fn degrade_policy_halves_the_batch_under_pressure() {
+    let _g = gate();
     let mut node = make_node(25);
     node.set_injected_stage_delay(Some(Duration::from_millis(25)));
     let cloud = EchoCloud::for_seed(25);
@@ -302,6 +309,7 @@ fn degrade_policy_halves_the_batch_under_pressure() {
 
 #[test]
 fn degrade_policy_flips_precision_at_the_batch_floor() {
+    let _g = gate();
     let mut node = make_node(27);
     // Calibrate the i8 path, then deploy at f32 so the flip is live.
     let calib = Dataset::generate(16, CLASSES, &Condition::ideal(), &mut Rng::seed_from(28))

@@ -53,7 +53,7 @@ pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use net::{split_desc, Network, Sequential};
 pub use optim::Sgd;
 pub use optim_adam::Adam;
-pub use quant::{LayerCalibration, QuantizedNet};
+pub use quant::{LayerCalibration, QuantizedNet, Recalibration};
 pub use schedule::LrSchedule;
 pub use train::{
     evaluate, gather_samples, train, train_from_activations, EpochStats, LabeledBatch,

@@ -18,35 +18,22 @@ pub fn state_dict(net: &mut dyn Network) -> Vec<Tensor> {
     params
 }
 
-/// Writes a state dict back into a network.
+/// Checks that a state dict fits a network — same tensor count, every
+/// shape equal — without touching the network's values.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
 /// shape differs.
-pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
     let mut idx = 0usize;
     let mut failure: Option<NnError> = None;
     net.visit_all(&mut |p| {
-        if failure.is_some() {
-            return;
-        }
-        match params.get(idx) {
-            None => {
-                failure = Some(NnError::SnapshotMismatch {
-                    reason: format!("snapshot has only {} tensors", params.len()),
-                });
-            }
-            Some(src) => {
-                if p.copy_from(src).is_err() {
-                    failure = Some(NnError::SnapshotMismatch {
-                        reason: format!(
-                            "tensor {idx}: network {} vs snapshot {}",
-                            p.shape(),
-                            src.shape()
-                        ),
-                    });
-                }
+        if failure.is_none() {
+            if let Some(src) = params.get(idx).filter(|src| src.dims() != p.dims()) {
+                let reason =
+                    format!("tensor {idx}: network {} vs snapshot {}", p.shape(), src.shape());
+                failure = Some(NnError::SnapshotMismatch { reason });
             }
         }
         idx += 1;
@@ -59,6 +46,25 @@ pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
             reason: format!("network has {idx} tensors, snapshot has {}", params.len()),
         });
     }
+    Ok(())
+}
+
+/// Writes a state dict back into a network. All or nothing: the dict
+/// is checked whole ([`check_state_dict`]) before any tensor is copied,
+/// so a rejected dict leaves the network bitwise unchanged.
+///
+/// # Errors
+///
+/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
+/// shape differs.
+pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+    check_state_dict(net, params)?;
+    let mut src = params.iter();
+    net.visit_all(&mut |p| {
+        if let Some(src) = src.next() {
+            p.as_mut_slice().copy_from_slice(src.as_slice());
+        }
+    });
     Ok(())
 }
 
@@ -193,6 +199,22 @@ mod tests {
         let mut wrong_shape = dict;
         wrong_shape[0] = Tensor::zeros([9, 9]);
         assert!(load_state_dict(&mut a, &wrong_shape).is_err());
+    }
+
+    #[test]
+    fn rejected_dict_leaves_the_network_unchanged() {
+        use crate::models::mini_alexnet;
+        let mut rng = Rng::seed_from(5);
+        let mut net = mini_alexnet(4, &mut rng).unwrap();
+        let before = state_dict(&mut net);
+        // Same architecture up to fc8, which has one more class: the
+        // first 14 tensors fit, the last two do not.
+        let dict = state_dict(&mut mini_alexnet(5, &mut rng).unwrap());
+        assert!(load_state_dict(&mut net, &dict).is_err());
+        let bits = |d: &[Tensor]| -> Vec<u32> {
+            d.iter().flat_map(|t| t.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+        assert_eq!(bits(&state_dict(&mut net)), bits(&before));
     }
 
     #[test]

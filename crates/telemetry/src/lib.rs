@@ -134,6 +134,17 @@ struct ActiveSpan {
     depth: u16,
 }
 
+impl Span {
+    /// Replaces the span's label with one known only once the work
+    /// inside has run (e.g. what a refresh turned out to touch). The
+    /// closure runs only on an active span.
+    pub fn set_label<F: FnOnce() -> String>(&mut self, label: F) {
+        if let Some(s) = &mut self.0 {
+            s.label = Some(label().into_boxed_str());
+        }
+    }
+}
+
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.0.take() {
@@ -252,6 +263,19 @@ mod tests {
             let c = snap.counter("t.kernel", "2x2").expect("span counter");
             assert_eq!(c.calls, 3);
             assert_eq!(snap.spans.len(), 3);
+        });
+    }
+
+    #[test]
+    fn set_label_relabels_an_open_span() {
+        with_telemetry(|| {
+            {
+                let mut s = span("t.refresh");
+                s.set_label(|| "resume 7".into());
+            }
+            let snap = snapshot();
+            assert_eq!(snap.counter("t.refresh", "resume 7").map(|c| c.calls), Some(1));
+            assert!(snap.counter("t.refresh", "").is_none());
         });
     }
 
