@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # 1/2/4 threads, plus the scratch-reuse allocation contract).
 cargo test -q -p insitu-tensor --test packed_gemm
 
+# Conv-lowering gate: the row-run im2col/col2im must equal their
+# per-element oracles bitwise on every small geometry (f32 and i8
+# im2col with padding positions untouched, col2im accumulating into a
+# non-zero gradient), and strided f32/i8 convs must equal the conv
+# built on those oracles — under the vectorized and the portable GEMM
+# kernel alike.
+cargo test -q -p insitu-tensor --lib conv::
+INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-tensor --lib conv::
+
 # Fixed-point gates: the i8 GEMM must stay bitwise identical to its
 # naive i32 oracle at any shape and thread count, under both the
 # vectorized and the portable kernel (INSITU_GEMM_KERNEL=scalar pins

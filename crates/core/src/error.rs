@@ -22,6 +22,22 @@ pub enum CoreError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A model update's version is not newer than the installed one.
+    StaleUpdate {
+        /// The update's version.
+        offered: u32,
+        /// The version the node runs.
+        installed: u32,
+    },
+    /// A model update carries a NaN or infinite parameter.
+    NonFiniteUpdate {
+        /// The update's version.
+        version: u32,
+        /// Which state dict: "inference" or "jigsaw".
+        net: &'static str,
+        /// Index of the first offending tensor in that dict.
+        tensor: usize,
+    },
     /// A runtime actor thread panicked instead of returning an error.
     ActorPanicked {
         /// Which actor died ("node", "cloud" or "producer").
@@ -38,6 +54,12 @@ impl fmt::Display for CoreError {
             CoreError::Data(e) => write!(f, "data error: {e}"),
             CoreError::BadConfig { reason } => write!(f, "bad configuration: {reason}"),
             CoreError::Infeasible { reason } => write!(f, "infeasible: {reason}"),
+            CoreError::StaleUpdate { offered, installed } => {
+                write!(f, "stale update: v{offered} is not newer than installed v{installed}")
+            }
+            CoreError::NonFiniteUpdate { version, net, tensor } => {
+                write!(f, "non-finite value in {net} tensor {tensor} of update v{version}")
+            }
             CoreError::ActorPanicked { actor, message } => {
                 write!(f, "{actor} actor panicked: {message}")
             }

@@ -13,7 +13,7 @@
 //! hub `Eq` (so `SessionStats` stays comparable in tests) and the
 //! exports bit-stable across runs of the same recorded data.
 
-use insitu_telemetry::TelemetrySnapshot;
+use insitu_telemetry::{json, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -170,8 +170,8 @@ impl MetricsHub {
             .map(|((name, label, field), v)| {
                 format!(
                     "{{\"name\":{},\"label\":{},\"field\":\"{field}\",\"value\":{v}}}",
-                    json_string(name),
-                    json_string(label)
+                    json::quote(name),
+                    json::quote(label)
                 )
             })
             .collect();
@@ -209,27 +209,6 @@ fn label_set(pairs: &[(&str, &str)]) -> String {
         })
         .collect();
     format!("{{{}}}", body.join(","))
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A tiny Prometheus text-format checker: validates comment lines

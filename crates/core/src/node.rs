@@ -682,10 +682,12 @@ impl InsituNode {
         Ok(data.subset(&outcome.valuable)?)
     }
 
-    /// Installs a model refresh from the Cloud, all or nothing: both
-    /// state dicts are checked before either is loaded, and a rejected
-    /// update leaves the f32 weights, the jigsaw network, the version
-    /// and the quantized network bitwise unchanged.
+    /// Installs a model refresh from the Cloud, all or nothing: the
+    /// update is validated first — its version must be newer than the
+    /// installed one, every parameter finite, and both state dicts must
+    /// fit the deployed networks — and a rejected update leaves the f32
+    /// weights, the jigsaw network, the version and the quantized
+    /// network bitwise unchanged.
     ///
     /// A node running quantized inference recalibrates its
     /// [`QuantizedNet`] in place — fixed-point scales are only valid
@@ -695,14 +697,50 @@ impl InsituNode {
     /// the frozen cut and requantizes only the changed suffix
     /// (bitwise identical to a fresh
     /// [`enable_quantized`](InsituNode::enable_quantized)). Records an
-    /// `install` flight event with the version and the resume layer.
+    /// `install` flight event with the version and the resume layer,
+    /// or an `install_rejected` event with the reason.
     ///
     /// # Errors
     ///
-    /// Returns an error if a snapshot does not match the deployed
-    /// architecture, or if the calibration split no longer flows
+    /// Returns [`CoreError::StaleUpdate`] if the version is not newer
+    /// than [`version`](InsituNode::version),
+    /// [`CoreError::NonFiniteUpdate`] if a parameter is NaN or
+    /// infinite, and an error if a snapshot does not match the
+    /// deployed architecture or the calibration split no longer flows
     /// through the updated network.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<()> {
+        match self.apply_update(update) {
+            Ok(how) => {
+                self.version = update.version;
+                recorder::record("install", format!("v{}: {how}", update.version));
+                Ok(())
+            }
+            Err(e) => {
+                recorder::record("install_rejected", format!("v{}: {e}", update.version));
+                Err(e)
+            }
+        }
+    }
+
+    /// The validate-then-commit body of
+    /// [`install_update`](InsituNode::install_update): version,
+    /// finiteness and both dicts' shapes are checked before the first
+    /// weight is written, and a failed recalibration restores the
+    /// previous weights. Returns how the inference net was refreshed,
+    /// for the `install` flight event.
+    fn apply_update(&mut self, update: &ModelUpdate) -> Result<String> {
+        let installed = self.version;
+        if update.version <= installed {
+            return Err(CoreError::StaleUpdate { offered: update.version, installed });
+        }
+        let non_finite =
+            |dict: &[Tensor]| dict.iter().position(|t| t.as_slice().iter().any(|v| !v.is_finite()));
+        let inference = Some(&update.inference_params);
+        for (net, dict) in [("inference", inference), ("jigsaw", update.jigsaw_params.as_ref())] {
+            if let Some(tensor) = dict.and_then(|d| non_finite(d)) {
+                return Err(CoreError::NonFiniteUpdate { version: update.version, net, tensor });
+            }
+        }
         check_state_dict(&mut self.inference, &update.inference_params)?;
         if let Some(jp) = &update.jigsaw_params {
             check_state_dict(&mut self.jigsaw, jp)?;
@@ -730,9 +768,7 @@ impl InsituNode {
         if let Some(jp) = &update.jigsaw_params {
             load_state_dict(&mut self.jigsaw, jp)?;
         }
-        self.version = update.version;
-        recorder::record("install", format!("v{}: {how}", update.version));
-        Ok(())
+        Ok(how)
     }
 }
 
@@ -1035,6 +1071,61 @@ mod tests {
         assert_eq!(bits(&state_dict(n.inference_mut())), bits(&inference));
         assert_eq!(bits(&state_dict(n.jigsaw_mut())), bits(&jigsaw));
         assert_eq!(n.version(), 0);
+        assert_same_i8_stage(&mut n, &mut reference);
+    }
+
+    #[test]
+    fn non_finite_and_stale_updates_leave_the_node_unchanged() {
+        let calib = calib();
+        let mut n = node();
+        n.enable_quantized(&calib).unwrap();
+        let mut reference = node();
+        reference.enable_quantized(&calib).unwrap();
+        let v7 = suffix_update(&mut n, 7, 1.1);
+        n.install_update(&v7).unwrap();
+        reference.install_update(&v7).unwrap();
+        let inference = state_dict(n.inference_mut());
+        let jigsaw = state_dict(n.jigsaw_mut());
+        let records = calib_records(&n);
+
+        // NaN in the fc8 weight, an infinity in the jigsaw's last tensor.
+        let mut nan = suffix_update(&mut n, 8, 0.9);
+        let fc8 = nan.inference_params.len() - 2;
+        nan.inference_params[fc8].as_mut_slice()[3] = f32::NAN;
+        let mut inf = suffix_update(&mut n, 8, 0.9);
+        let mut jp = jigsaw.clone();
+        let last = jp.len() - 1;
+        jp[last].as_mut_slice()[0] = f32::NEG_INFINITY;
+        inf.jigsaw_params = Some(jp);
+        // Finite dicts, but a replay of v7 and a rollback to v0.
+        let (replay, rollback) = (suffix_update(&mut n, 7, 0.9), suffix_update(&mut n, 0, 0.9));
+
+        assert!(matches!(
+            n.install_update(&nan),
+            Err(CoreError::NonFiniteUpdate { version: 8, net: "inference", tensor })
+                if tensor == fc8
+        ));
+        assert!(matches!(
+            n.install_update(&inf),
+            Err(CoreError::NonFiniteUpdate { net: "jigsaw", tensor, .. }) if tensor == last
+        ));
+        for (stale, offered) in [(&replay, 7), (&rollback, 0)] {
+            assert!(matches!(
+                n.install_update(stale),
+                Err(CoreError::StaleUpdate { offered: o, installed: 7 }) if o == offered
+            ));
+        }
+        let dump = recorder::dump("rejected installs");
+        let want = concat!(
+            r#""kind":"install_rejected","detail":"#,
+            r#""v0: stale update: v0 is not newer than installed v7""#
+        );
+        assert!(dump.contains(want), "no install_rejected event in {dump}");
+
+        assert_eq!(bits(&state_dict(n.inference_mut())), bits(&inference));
+        assert_eq!(bits(&state_dict(n.jigsaw_mut())), bits(&jigsaw));
+        assert_eq!(calib_records(&n), records);
+        assert_eq!(n.version(), 7);
         assert_same_i8_stage(&mut n, &mut reference);
     }
 }

@@ -1,12 +1,13 @@
 //! A minimal JSON reader, used to validate the exporters' output
-//! (round-tripping the Chrome trace in tests) without external crates.
+//! (round-tripping the Chrome trace in tests) without external crates,
+//! and the one string writer ([`quote`]) every exporter shares.
 //!
 //! Supports the full JSON grammar the exporters emit: objects, arrays,
 //! strings with escapes (including `\uXXXX`), numbers, booleans and
 //! null. Numbers are parsed as `f64`.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +91,27 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
+}
+
+/// Escapes `s` as a JSON string literal (with quotes).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 struct Parser<'a> {
@@ -278,6 +300,16 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        let s = "say \"hi\" \\ path\nnext\r\tend \u{1}\u{1f} caf\u{e9} \u{1F600} \u{7f}";
+        let q = quote(s);
+        assert!(q.contains("\\\"hi\\\"") && q.contains("\\u0001") && q.contains("\\u001f"));
+        assert!(!q[1..q.len() - 1].chars().any(|c| (c as u32) < 0x20), "{q}");
+        assert_eq!(parse(&q).unwrap(), Value::Str(s.into()));
+        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    }
 
     #[test]
     fn parses_scalars() {

@@ -2,6 +2,7 @@
 //! `trace_event` JSON, and a machine-readable counter report.
 
 use crate::hist::Histogram;
+use crate::json;
 use crate::registry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -259,7 +260,7 @@ impl TelemetrySnapshot {
             events.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
                  \"args\":{{\"name\":{}}}}}",
-                json_string(thread)
+                json::quote(thread)
             ));
         }
         for s in &self.spans {
@@ -267,11 +268,11 @@ impl TelemetrySnapshot {
             let common = format!(
                 "\"name\":{},\"cat\":{},\"pid\":1,\"tid\":{},\"ts\":{:.3},\
                  \"args\":{{\"label\":{}}}",
-                json_string(&s.name),
-                json_string(cat),
+                json::quote(&s.name),
+                json::quote(cat),
                 s.tid,
                 s.ts_ns as f64 / 1e3,
-                json_string(&s.label),
+                json::quote(&s.label),
             );
             if s.instant {
                 events.push(format!("{{{common},\"ph\":\"i\",\"s\":\"t\"}}"));
@@ -305,7 +306,7 @@ impl TelemetrySnapshot {
             .map(|(name, (calls, total_ns))| {
                 format!(
                     "{{\"name\":{},\"calls\":{calls},\"total_ns\":{total_ns}}}",
-                    json_string(name)
+                    json::quote(name)
                 )
             })
             .collect();
@@ -315,8 +316,8 @@ impl TelemetrySnapshot {
             .map(|c| {
                 format!(
                     "{{\"name\":{},\"label\":{},\"calls\":{},\"total\":{},\"max\":{}}}",
-                    json_string(&c.name),
-                    json_string(&c.label),
+                    json::quote(&c.name),
+                    json::quote(&c.label),
                     c.calls,
                     c.total,
                     c.max
@@ -330,8 +331,8 @@ impl TelemetrySnapshot {
                 format!(
                     "{{\"name\":{},\"label\":{},\"count\":{},\"sum\":{},\"min\":{},\
                      \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    json_string(&h.name),
-                    json_string(&h.label),
+                    json::quote(&h.name),
+                    json::quote(&h.label),
                     h.hist.count(),
                     h.hist.sum(),
                     h.hist.min(),
@@ -365,27 +366,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns} ns")
     }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -518,7 +498,6 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.50 us");
         assert_eq!(fmt_ns(2_500_000), "2.50 ms");
         assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         let snap = sample();
         assert!(snap.has_span("a.out"));
         assert!(!snap.has_span("zz"));

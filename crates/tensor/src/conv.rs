@@ -170,31 +170,61 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
 /// Generic over the element so the fixed-point forward can stretch
 /// already-quantized samples (`quantize(0) == 0`, so the zero-padding
 /// contract is the same in both domains).
+///
+/// Moves whole row runs (see [`for_each_run`]): one `copy_from_slice`
+/// per run at stride 1, one strided gather otherwise.
 fn im2col_into<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
+    let s = g.stride;
+    for_each_run(g, |at, x_at, len| {
+        let dst = &mut out[at..at + len];
+        if s == 1 {
+            dst.copy_from_slice(&x[x_at..x_at + len]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(x[x_at..].iter().step_by(s)) {
+                *d = v;
+            }
+        }
+    });
+}
+
+/// Walks the im2col matrix of `g` in row runs: for each
+/// `(c, ky, kx)` row and each output row `oy` whose tap lands inside
+/// the input, calls `f(at, x_at, len)` once for the `len` contiguous
+/// output columns `lo..hi` whose tap also lands inside horizontally.
+/// `at` is the run's first flat index into the `(N·K², R·C)` matrix,
+/// `x_at` the flat `(C, H, W)` index of its first tap; the taps that
+/// follow sit `stride` apart in the same input row. The in-bounds
+/// ranges are computed once per kernel offset ([`tap_range`]), not
+/// per tap. Runs come in ascending `(c, ky, kx, oy)` order, and no
+/// run touches a padding position.
+fn for_each_run(g: &ConvGeometry, mut f: impl FnMut(usize, usize, usize)) {
+    let (h, w, k, s, pad) = (g.in_h, g.in_w, g.kernel, g.stride, g.pad);
     let cols = g.col_cols();
-    let (h, w, k) = (g.in_h, g.in_w, g.kernel);
     for c in 0..g.in_channels {
         for ky in 0..k {
+            let (oy_lo, oy_hi) = tap_range(ky, h, g.out_h, g);
             for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..g.out_h {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..g.out_w {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out_row[oy * g.out_w + ox] =
-                            x[(c * h + iy as usize) * w + ix as usize];
-                    }
+                let (lo, hi) = tap_range(kx, w, g.out_w, g);
+                if lo == hi {
+                    continue;
+                }
+                let (row, ix) = ((c * k + ky) * k + kx, lo * s + kx - pad);
+                for oy in oy_lo..oy_hi {
+                    let iy = oy * s + ky - pad;
+                    f(row * cols + oy * g.out_w + lo, (c * h + iy) * w + ix, hi - lo);
                 }
             }
         }
     }
+}
+
+/// The output positions `lo..hi` along one axis whose tap at kernel
+/// offset `kk` lands inside an input of extent `n`, i.e.
+/// `0 <= o·stride + kk − pad < n`; `lo == hi` when none does.
+fn tap_range(kk: usize, n: usize, out_n: usize, g: &ConvGeometry) -> (usize, usize) {
+    let lo = g.pad.saturating_sub(kk).div_ceil(g.stride);
+    let hi = (n + g.pad).saturating_sub(kk).div_ceil(g.stride).min(out_n);
+    (lo, hi.max(lo))
 }
 
 /// Adjoint of [`im2col`]: scatters a `(N·K², R·C)` matrix back into a
@@ -220,30 +250,25 @@ pub fn col2im(col: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
 
 /// Core of [`col2im`]: scatters a flattened `(N·K², R·C)` matrix into
 /// the flattened `(C, H, W)` buffer `o`, accumulating into it.
-fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
-    let (h, w, k, cols) = (g.in_h, g.in_w, g.kernel, g.col_cols());
-    for c in 0..g.in_channels {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let col_row = &c_[row * cols..(row + 1) * cols];
-                for oy in 0..g.out_h {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..g.out_w {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        o[(c * h + iy as usize) * w + ix as usize] +=
-                            col_row[oy * g.out_w + ox];
-                    }
-                }
+///
+/// Adds whole row runs (see [`for_each_run`]). Runs come in
+/// `(c, ky, kx, oy)` order and the taps of one run hit distinct input
+/// elements, so every element sums its contributions in that order:
+/// the f32 result is bitwise that of a per-tap scatter.
+fn col2im_into(col: &[f32], g: &ConvGeometry, o: &mut [f32]) {
+    let s = g.stride;
+    for_each_run(g, |at, x_at, len| {
+        let src = &col[at..at + len];
+        if s == 1 {
+            for (d, &v) in o[x_at..x_at + len].iter_mut().zip(src) {
+                *d += v;
+            }
+        } else {
+            for (d, &v) in o[x_at..].iter_mut().step_by(s).zip(src) {
+                *d += v;
             }
         }
-    }
+    });
 }
 
 /// Reusable scratch buffers for batched convolution passes.
@@ -880,7 +905,10 @@ fn check_weight_bias(weight: &Tensor, bias: &Tensor, g: &ConvGeometry) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::matmul_naive;
+    use crate::quant::{matmul_i8_naive, max_abs, quant_scale};
     use crate::rng::Rng;
+    use proptest::prelude::*;
 
     fn small_geom() -> ConvGeometry {
         ConvGeometry::new(2, 5, 5, 3, 3, 1, 1).unwrap()
@@ -1111,5 +1139,214 @@ mod tests {
         let bias = Tensor::zeros([3]);
         conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
         assert!(conv2d_backward_ws(&dout, &w, &g, &mut ws).is_err());
+    }
+
+    /// The per-element im2col the row runs replaced: one signed bounds
+    /// check per tap. Kept as the bitwise oracle.
+    fn im2col_oracle<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
+        let cols = g.col_cols();
+        let (h, w, k) = (g.in_h, g.in_w, g.kernel);
+        for c in 0..g.in_channels {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    let out_row = &mut out[row * cols..(row + 1) * cols];
+                    for oy in 0..g.out_h {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..g.out_w {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out_row[oy * g.out_w + ox] =
+                                x[(c * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-element col2im the row runs replaced, kept as the
+    /// bitwise oracle.
+    fn col2im_oracle(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
+        let (h, w, k, cols) = (g.in_h, g.in_w, g.kernel, g.col_cols());
+        for c in 0..g.in_channels {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    let col_row = &c_[row * cols..(row + 1) * cols];
+                    for oy in 0..g.out_h {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..g.out_w {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            o[(c * h + iy as usize) * w + ix as usize] +=
+                                col_row[oy * g.out_w + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts the row-run lowering equals the oracles bit for bit at
+    /// `g`: im2col in f32 and in i8 over a sentinel-filled output (a
+    /// value neither domain produces, so a write to a padding position
+    /// shows), and col2im accumulating into a non-zero `dx`.
+    fn assert_lowering_matches_oracle(g: &ConvGeometry, seed: u64) {
+        let mut rng = Rng::seed_from(seed);
+        let x = Tensor::rand_uniform([g.in_channels, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+        let n = g.col_rows() * g.col_cols();
+        let (mut fast, mut slow) = (vec![7.5f32; n], vec![7.5f32; n]);
+        im2col_into(x.as_slice(), g, &mut fast);
+        im2col_oracle(x.as_slice(), g, &mut slow);
+        let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(f32_bits(&fast), f32_bits(&slow), "f32 im2col at {g:?}");
+
+        let mut qx = vec![0i8; x.len()];
+        quantize_i8(x.as_slice(), 1.0 / 127.0, &mut qx);
+        let (mut qfast, mut qslow) = (vec![i8::MIN; n], vec![i8::MIN; n]);
+        im2col_into(&qx, g, &mut qfast);
+        im2col_oracle(&qx, g, &mut qslow);
+        assert_eq!(qfast, qslow, "i8 im2col at {g:?}");
+
+        let dcol = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
+        let dx = Tensor::rand_uniform([x.len()], -1.0, 1.0, &mut rng);
+        let (mut fast, mut slow) = (dx.as_slice().to_vec(), dx.as_slice().to_vec());
+        col2im_into(dcol.as_slice(), g, &mut fast);
+        col2im_oracle(dcol.as_slice(), g, &mut slow);
+        assert_eq!(f32_bits(&fast), f32_bits(&slow), "col2im at {g:?}");
+    }
+
+    #[test]
+    fn row_runs_match_the_oracle_on_every_geometry() {
+        let mut checked = 0u64;
+        for c in 1..=4 {
+            for (h, w) in (1..=12).flat_map(|h| (1..=12).map(move |w| (h, w))) {
+                for (k, s, p) in (1..=5).flat_map(|k| {
+                    (1..=3).flat_map(move |s| (0..=3).map(move |p| (k, s, p)))
+                }) {
+                    if let Ok(g) = ConvGeometry::new(c, h, w, 1, k, s, p) {
+                        assert_lowering_matches_oracle(&g, checked);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 20_000, "only {checked} geometries swept");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_runs_match_the_oracle(
+            c in 1usize..5, h in 1usize..13, w in 1usize..13, k in 1usize..6,
+            s in 1usize..4, p in 0usize..4, seed in 0u64..1_000_000
+        ) {
+            let g = ConvGeometry::new(c, h, w, 1, k, s, p);
+            prop_assume!(g.is_ok());
+            assert_lowering_matches_oracle(&g.unwrap(), seed);
+        }
+    }
+
+    /// The convolution built on the oracles: per-sample oracle im2col,
+    /// the naive GEMMs the packed kernels match bitwise, and the same
+    /// bias and ascending-sample reduction order as the batched pass.
+    /// Returns `(y, dx, dw, db)`.
+    fn oracle_conv(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &Tensor,
+        dout: &Tensor,
+        g: &ConvGeometry,
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
+        let (b, m, nk2, p) = (x.dims()[0], g.out_channels, g.col_rows(), g.col_cols());
+        let sample_len = g.in_channels * g.in_h * g.in_w;
+        let fm = Tensor::from_vec([m, nk2], w.as_slice().to_vec()).unwrap();
+        let (mut y, mut dx) = (Vec::new(), Vec::new());
+        let (mut dw, mut db) = (vec![0.0f32; m * nk2], vec![0.0f32; m]);
+        for s in 0..b {
+            let mut col = vec![0.0f32; nk2 * p];
+            im2col_oracle(&x.as_slice()[s * sample_len..(s + 1) * sample_len], g, &mut col);
+            let col = Tensor::from_vec([nk2, p], col).unwrap();
+            let ys = matmul_naive(&fm, &col).unwrap();
+            for (i, v) in ys.as_slice().iter().enumerate() {
+                y.push(v + bias.as_slice()[i / p]);
+            }
+            let dy = dout.as_slice()[s * m * p..(s + 1) * m * p].to_vec();
+            let dy = Tensor::from_vec([m, p], dy).unwrap();
+            let dws = matmul_naive(&dy, &col.transpose2d().unwrap()).unwrap();
+            for (acc, &v) in dw.iter_mut().zip(dws.as_slice()) {
+                *acc += v;
+            }
+            for (r, acc) in db.iter_mut().enumerate() {
+                *acc += dy.as_slice()[r * p..(r + 1) * p].iter().sum::<f32>();
+            }
+            let dcol = matmul_naive(&fm.transpose2d().unwrap(), &dy).unwrap();
+            let mut dxs = vec![0.0f32; sample_len];
+            col2im_oracle(dcol.as_slice(), g, &mut dxs);
+            dx.extend(dxs);
+        }
+        (
+            Tensor::from_vec([b, m, g.out_h, g.out_w], y).unwrap(),
+            Tensor::from_vec(x.dims().to_vec(), dx).unwrap(),
+            Tensor::from_vec(w.dims().to_vec(), dw).unwrap(),
+            Tensor::from_vec([m], db).unwrap(),
+        )
+    }
+
+    #[test]
+    fn strided_conv_matches_the_oracle_conv() {
+        let mut rng = Rng::seed_from(34);
+        for g in [
+            ConvGeometry::new(3, 11, 9, 4, 3, 2, 1).unwrap(),
+            ConvGeometry::new(2, 8, 13, 5, 5, 3, 2).unwrap(),
+        ] {
+            let (b, m) = (3, g.out_channels);
+            let x = Tensor::rand_uniform([b, g.in_channels, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+            let w_dims = [m, g.in_channels, g.kernel, g.kernel];
+            let w = Tensor::rand_uniform(w_dims, -0.5, 0.5, &mut rng);
+            let bias = Tensor::rand_uniform([m], -0.1, 0.1, &mut rng);
+            let dout = Tensor::rand_uniform([b, m, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
+            let (y0, dx0, dw0, db0) = oracle_conv(&x, &w, &bias, &dout, &g);
+            let mut ws = ConvWorkspace::new();
+            let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+            let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
+            assert_eq!(bits(&y), bits(&y0));
+            assert_eq!(bits(&dx), bits(&dx0));
+            assert_eq!(bits(&dw), bits(&dw0));
+            assert_eq!(bits(&db), bits(&db0));
+
+            // i8: quantize each sample, oracle im2col, exact i32 GEMM,
+            // per-channel dequantization plus bias.
+            let nk2 = g.col_rows();
+            let qw = QuantizedMatrix::from_rows(w.as_slice(), m, nk2).unwrap();
+            let in_scale = quant_scale(max_abs(x.as_slice()));
+            let yq = conv2d_forward_i8_ws(&x, &qw, &bias, &g, in_scale, &mut ws).unwrap();
+            let sample_len = g.in_channels * g.in_h * g.in_w;
+            let p = g.col_cols();
+            let mut want = Vec::new();
+            for xs in x.as_slice().chunks(sample_len) {
+                let mut qx = vec![0i8; sample_len];
+                quantize_i8(xs, in_scale, &mut qx);
+                let mut qcol = vec![0i8; nk2 * p];
+                im2col_oracle(&qx, &g, &mut qcol);
+                let acc = matmul_i8_naive(qw.data(), &qcol, m, nk2, p);
+                for (i, &a) in acc.iter().enumerate() {
+                    want.push(a as f32 * (in_scale * qw.scales()[i / p]) + bias.as_slice()[i / p]);
+                }
+            }
+            assert_eq!(bits(&yq), want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
     }
 }
