@@ -13,14 +13,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 # 1/2/4 threads, plus the scratch-reuse allocation contract).
 cargo test -q -p insitu-tensor --test packed_gemm
 
-# Conv-lowering gate: the row-run im2col/col2im must equal their
-# per-element oracles bitwise on every small geometry (f32 and i8
-# im2col with padding positions untouched, col2im accumulating into a
-# non-zero gradient), and strided f32/i8 convs must equal the conv
-# built on those oracles — under the vectorized and the portable GEMM
-# kernel alike.
+# Conv-lowering gate: on every small geometry and at GEMM tile widths
+# 4, 8 and 16, the gathered f32 and i8 forward panels must equal
+# pack_b of the per-element oracle im2col bitwise, the gathered
+# weight-gradient panel its transposed pack_b, and the row-run col2im
+# its oracle (accumulating into a non-zero gradient); strided f32/i8
+# convs must equal the conv built on those oracles, and steady-state
+# passes must not grow the workspace. Run under the vectorized and the
+# portable GEMM kernel, and under the portable gather body
+# (INSITU_SIMD=scalar, which pins the GEMM to scalar_8x4 too); the
+# AVX-512 leg below adds the AVX2 gather body with the avx2_8x8 GEMM,
+# so each gather body meets each kernel tile width.
 cargo test -q -p insitu-tensor --lib conv::
 INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-tensor --lib conv::
+INSITU_SIMD=scalar cargo test -q -p insitu-tensor --lib conv::
 
 # Fixed-point gates: the i8 GEMM must stay bitwise identical to its
 # naive i32 oracle at any shape and thread count, under both the
@@ -55,6 +61,7 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null \
     && grep -q avx512dq /proc/cpuinfo \
     && grep -q avx512vl /proc/cpuinfo; then
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test simd_ops
+    INSITU_SIMD=avx2 cargo test -q -p insitu-tensor --lib conv::
     INSITU_GEMM_KERNEL=avx512 cargo test -q -p insitu-tensor --test packed_gemm
     INSITU_GEMM_KERNEL=avx512 cargo test -q -p insitu-tensor --test quant_gemm
 else

@@ -124,7 +124,7 @@ impl JigsawNet {
     /// the `patches` tiles in any fixed order — output `(P, F)`.
     ///
     /// The trunk processes every tile independently (per-sample
-    /// im2col + GEMM), so row `p` of the result is bitwise the feature
+    /// panel gather + GEMM), so row `p` of the result is bitwise the feature
     /// vector the folded [`forward`](Network::forward) pass would
     /// produce for that tile at *any* batch position: permuting tiles
     /// only permutes rows. That equivariance is what lets

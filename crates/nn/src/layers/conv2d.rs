@@ -13,10 +13,10 @@ use insitu_tensor::{conv2d_backward_ws, conv2d_forward_ws, ConvGeometry, ConvWor
 /// (`std = sqrt(2 / fan_in)`), appropriate for the ReLU networks used
 /// throughout the reproduction.
 ///
-/// The layer owns a [`ConvWorkspace`], so its im2col, GEMM-packing and
-/// gradient scratch buffers are allocated once and reused across steps
-/// (zero kernel-path heap allocations in steady state); the forward
-/// pass stores the im2col matrices there for the backward pass.
+/// The layer owns a [`ConvWorkspace`], so its gather tables, GEMM-packing
+/// and gradient scratch buffers are allocated once and reused across
+/// steps (zero kernel-path heap allocations in steady state); the
+/// forward pass keeps its input there for the backward pass.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,

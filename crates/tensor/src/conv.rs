@@ -1,24 +1,30 @@
-//! 2-D convolution via im2col lowering.
+//! 2-D convolution lowered to GEMM.
 //!
-//! This is the same lowering the paper describes for GPU execution
-//! (its Fig. 8): `im2col` stretches local input regions into the columns
-//! of a data matrix `Dm`, the filters are flattened into a filter matrix
-//! `Fm`, and the convolution becomes the GEMM `Fm × Dm`. The backward
-//! pass uses the adjoint scatter [`col2im`].
+//! This is the lowering the paper describes for GPU execution (its
+//! Fig. 8): local input regions become the columns of a data matrix
+//! `Dm`, the filters are flattened into a filter matrix `Fm`, and the
+//! convolution becomes the GEMM `Fm × Dm`. The batched passes never
+//! build `Dm` itself: a table computed once per geometry says where
+//! every element of `Dm`'s packed GEMM panels comes from in the input,
+//! and each sample's panels are one vector gather over that table
+//! ([`crate::simd::GatherF32`] / [`crate::simd::GatherI8`]). The
+//! backward pass gathers its `Dmᵀ` operand from the saved input the
+//! same way, and scatters the input gradient with the adjoint
+//! [`col2im`].
 //!
 //! Batched passes parallelize over the batch dimension on the shared
 //! worker pool (see [`crate::parallel`]): samples are independent, and
 //! the per-sample gradients are reduced in ascending sample order, so
-//! results are bitwise identical for any thread count. The
-//! [`ConvWorkspace`] variants ([`conv2d_forward_ws`] /
-//! [`conv2d_backward_ws`]) additionally reuse the im2col and scratch
-//! buffers across calls, eliminating steady-state allocations.
+//! results are bitwise identical for any thread count. Every buffer a
+//! pass needs lives in a reusable [`ConvWorkspace`], so steady-state
+//! passes allocate nothing beyond their output tensors.
 
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
-use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, pack_b_i8, packed_a_len, packed_b_len};
+use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, packed_a_len, packed_b_len};
 use crate::parallel::{parallel_for, plan_parts, SendPtr};
 use crate::quant::{quantize_i8, QuantizedMatrix};
+use crate::simd::{dispatch, GatherF32, GatherI8, GATHER_I8_SLACK};
 use crate::tensor::Tensor;
 use crate::Result;
 use insitu_telemetry as telemetry;
@@ -26,7 +32,7 @@ use insitu_telemetry as telemetry;
 /// Opens the per-call telemetry span and bytes counter for one batched
 /// convolution pass (inert while telemetry is disabled). `bytes` counts
 /// the f32 traffic of the pass: activations, weights and outputs (the
-/// backward pass also reads the saved im2col matrices).
+/// backward pass also reads the saved input).
 fn conv_telemetry(kernel: &'static str, b: usize, g: &ConvGeometry, bytes: u64) -> telemetry::Span {
     let span = telemetry::span_with(kernel, || {
         format!(
@@ -147,7 +153,7 @@ impl ConvGeometry {
 /// # Errors
 ///
 /// Returns an error if `input` does not have shape `(C, H, W)` matching
-/// the geometry.
+/// the geometry, or if `C·H·W` does not fit the `i32` gather index.
 pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
     let expected = [g.in_channels, g.in_h, g.in_w];
     if input.dims() != expected {
@@ -157,32 +163,56 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
             op: "im2col",
         });
     }
+    check_index_range(g)?;
+    // One packed panel as wide as the matrix is the matrix itself, in
+    // row-major order.
     let (rows, cols) = (g.col_rows(), g.col_cols());
+    let mut idx = vec![0i32; rows * cols];
+    gather_table(g, cols, false, &mut idx);
     let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input.as_slice(), g, &mut out);
+    dispatch(GatherF32 { src: input.as_slice(), idx: &idx, dst: &mut out });
     Tensor::from_vec([rows, cols], out)
 }
 
-/// Core of [`im2col`]: stretches one flattened `(C, H, W)` sample into
-/// `out`. Only the taps that land inside the input are written — padding
-/// positions are left untouched, so `out` must hold zeros there (a fresh
-/// zeroed buffer, or a workspace last used with the same geometry).
-/// Generic over the element so the fixed-point forward can stretch
-/// already-quantized samples (`quantize(0) == 0`, so the zero-padding
-/// contract is the same in both domains).
+/// Rejects a geometry whose input indices do not fit the `i32` gather
+/// table, before any table is sized.
+fn check_index_range(g: &ConvGeometry) -> Result<()> {
+    let len = g.in_channels.checked_mul(g.in_h).and_then(|n| n.checked_mul(g.in_w));
+    match len {
+        Some(n) if n <= i32::MAX as usize => Ok(()),
+        _ => Err(TensorError::InvalidGeometry {
+            reason: format!(
+                "input {}x{}x{} has more elements than an i32 gather index can address",
+                g.in_channels, g.in_h, g.in_w
+            ),
+        }),
+    }
+}
+
+/// Fills the gather table of one packed GEMM B-operand of `g` at tile
+/// width `nr`: `idx[i]` is the flat `(C, H, W)` input index of packed
+/// element `i`, or −1 where the element is a padding tap or a zero lane
+/// of the last, ragged panel.
 ///
-/// Moves whole row runs (see [`for_each_run`]): one `copy_from_slice`
-/// per run at stride 1, one strided gather otherwise.
-fn im2col_into<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
-    let s = g.stride;
+/// Without `trans` the operand is `Dm` (`N·K² × R·C`, the forward
+/// B-panels): `idx[q·nr·N·K² + row·nr + c]` holds column `q·nr + c`.
+/// With `trans` it is `Dmᵀ` (`R·C × N·K²`, the weight-gradient
+/// B-panels): `idx[q·nr·R·C + col·nr + c]` holds row `q·nr + c`. Either
+/// way `gather(x, idx)` equals `pack_b` of the im2col matrix of `x`.
+/// The caller has checked the geometry with [`check_index_range`].
+fn gather_table(g: &ConvGeometry, nr: usize, trans: bool, idx: &mut [i32]) {
+    let (rows, cols, s) = (g.col_rows(), g.col_cols(), g.stride);
+    idx.fill(-1);
     for_each_run(g, |at, x_at, len| {
-        let dst = &mut out[at..at + len];
-        if s == 1 {
-            dst.copy_from_slice(&x[x_at..x_at + len]);
-        } else {
-            for (d, &v) in dst.iter_mut().zip(x[x_at..].iter().step_by(s)) {
-                *d = v;
-            }
+        let (row, col0) = (at / cols, at % cols);
+        for j in 0..len {
+            let col = col0 + j;
+            let slot = if trans {
+                (row / nr * cols + col) * nr + row % nr
+            } else {
+                (col / nr * rows + row) * nr + col % nr
+            };
+            idx[slot] = (x_at + j * s) as i32;
         }
     });
 }
@@ -271,25 +301,64 @@ fn col2im_into(col: &[f32], g: &ConvGeometry, o: &mut [f32]) {
     });
 }
 
+/// One gather table (see [`gather_table`]) and the geometry and GEMM
+/// tile width it describes.
+#[derive(Debug, Clone, Default)]
+struct GatherTable {
+    key: Option<(ConvGeometry, usize)>,
+    idx: Vec<i32>,
+}
+
+impl GatherTable {
+    /// Builds the table of `g` at tile width `nr` (`trans`: the
+    /// weight-gradient operand) unless it already describes them. A
+    /// geometry switch rebuilds in place, inside the grow-only buffer.
+    fn prepare(
+        &mut self,
+        g: &ConvGeometry,
+        nr: usize,
+        trans: bool,
+        grows: &mut usize,
+    ) -> Result<()> {
+        if self.key != Some((*g, nr)) {
+            check_index_range(g)?;
+            let (rows, cols) = (g.col_rows(), g.col_cols());
+            let len =
+                if trans { packed_b_len(cols, rows, nr) } else { packed_b_len(rows, cols, nr) };
+            grow_scratch(&mut self.idx, len, grows, "conv");
+            gather_table(g, nr, trans, &mut self.idx[..len]);
+            self.key = Some((*g, nr));
+        }
+        Ok(())
+    }
+}
+
 /// Reusable scratch buffers for batched convolution passes.
 ///
 /// A fresh workspace allocates on first use; subsequent passes with the
 /// same batch size and geometry reuse every buffer, so the steady-state
 /// training loop performs no per-call conv allocations beyond the output
-/// tensors themselves. The forward pass also records its im2col matrices
-/// here, which the backward pass consumes (the paper's C-INTERMEDIATE
+/// tensors themselves. The workspace holds the gather tables of its
+/// current geometry (built once, then reused by every pass) and a copy
+/// of the last f32 forward's input, from which the backward pass
+/// gathers its weight-gradient operand (the paper's C-INTERMEDIATE
 /// reuse) — call [`conv2d_forward_ws`] before [`conv2d_backward_ws`].
 ///
 /// Workspaces are cheap to create (`Default`) and independent; use one
 /// per layer (or per thread when running models concurrently).
 #[derive(Debug, Clone, Default)]
 pub struct ConvWorkspace {
-    /// Batched im2col matrices, `b × (N·K² · R·C)`. Padding positions
-    /// are zeroed on (re)allocation and never dirtied afterwards, since
-    /// under a fixed geometry `im2col_into` writes only valid taps.
-    cols: Vec<f32>,
-    /// Batch size and geometry `cols` currently holds, if any.
+    /// The last f32 forward's input, `b × (C·H·W)`.
+    saved_x: Vec<f32>,
+    /// Batch size and geometry of the last f32 forward, if any: what a
+    /// backward pass must match.
     key: Option<(usize, ConvGeometry)>,
+    /// Gather table of the packed forward B-operand `Dm`; one table
+    /// serves every sample, f32 and i8.
+    fwd_table: GatherTable,
+    /// Gather table of the packed weight-gradient B-operand `Dmᵀ`,
+    /// built on the first backward pass at a geometry.
+    dw_table: GatherTable,
     /// Per-sample `dcol` scratch (assigned by the packed kernel, then
     /// scattered by `col2im_into`).
     dcols: Vec<f32>,
@@ -303,30 +372,25 @@ pub struct ConvWorkspace {
     packed_w: Vec<f32>,
     /// Packed `Fmᵀ` (backward dcol A-operand, shared by the batch).
     packed_wt: Vec<f32>,
-    /// Per-sample packed im2col matrices (forward B-operand).
+    /// Per-sample packed `Dm` (forward B-operand), gathered from the
+    /// input.
     packed_cols: Vec<f32>,
     /// Per-sample packed `dY` as A-operand (dW GEMM).
     packed_dy_a: Vec<f32>,
-    /// Per-sample packed `colᵀ` (dW B-operand).
+    /// Per-sample packed `Dmᵀ` (dW B-operand), gathered from `saved_x`.
     packed_colt: Vec<f32>,
     /// Per-sample packed `dY` as B-operand (dcol GEMM).
     packed_dy_b: Vec<f32>,
     /// Packed quantized filter matrix (i8 forward A-operand).
     packed_w_i8: Vec<i8>,
-    /// Per-sample quantized input samples (i8 forward staging): the
-    /// input is quantized *once* here, then stretched by `im2col_into`
-    /// — quantizing the im2col matrix instead would round every input
-    /// element K² times.
+    /// Per-sample quantized input samples, each followed by the
+    /// [`GATHER_I8_SLACK`] bytes the i8 gather may read past it (their
+    /// values never reach a panel). The input is quantized *once*
+    /// here, then gathered — quantizing the stretched matrix instead
+    /// would round every input element K² times.
     qx: Vec<i8>,
-    /// Per-sample quantized im2col matrices (i8 forward staging).
-    /// Padding positions are zeroed on (re)allocation and never
-    /// dirtied afterwards, exactly like `cols`.
-    qcols: Vec<i8>,
-    /// Batch size and geometry `qcols` currently holds, if any. Kept
-    /// apart from `key`: an f32 pass at a new geometry re-zeros only
-    /// `cols`, so the i8 staging must track its own validity.
-    key_i8: Option<(usize, ConvGeometry)>,
-    /// Per-sample packed quantized im2col matrices (i8 B-operand).
+    /// Per-sample packed quantized `Dm` (i8 B-operand), gathered from
+    /// `qx`.
     packed_cols_i8: Vec<i8>,
     /// Per-sample i32 accumulators of the i8 forward, dequantized into
     /// the f32 output.
@@ -354,47 +418,33 @@ impl ConvWorkspace {
         grow_scratch(buf, len, grows, "conv");
     }
 
-    /// Readies `cols` for `b` samples of geometry `g` (zeroing it only
-    /// when the batch size or geometry changed since the last pass) and
-    /// sizes the forward packing buffers.
-    fn prepare_forward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
-        let want = Some((b, *g));
-        if self.key != want {
-            let len = b * g.col_rows() * g.col_cols();
-            // Geometry switches re-zero `cols`, so they intentionally
-            // bypass the grow-only accounting.
-            self.cols.clear();
-            self.cols.resize(len, 0.0);
-            self.key = want;
-        }
+    /// Readies the forward table and buffers for `b` samples of
+    /// geometry `g`, and records `(b, g)` for the backward pass.
+    fn prepare_forward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) -> Result<()> {
+        self.fwd_table.prepare(g, kern.nr(), false, &mut self.grows)?;
+        self.key = Some((b, *g));
+        let grows = &mut self.grows;
+        Self::grow(&mut self.saved_x, b * g.in_channels * g.in_h * g.in_w, grows);
         Self::grow(
             &mut self.packed_w,
             packed_a_len(g.out_channels, g.col_rows(), kern.mr()),
-            &mut self.grows,
+            grows,
         );
         Self::grow(
             &mut self.packed_cols,
             b * packed_b_len(g.col_rows(), g.col_cols(), kern.nr()),
-            &mut self.grows,
+            grows,
         );
+        Ok(())
     }
 
-    /// Readies the quantized-forward buffers: the i8 input staging and
-    /// im2col matrices (re-zeroing the latter only when the batch size
-    /// or geometry changed, mirroring `prepare_forward`) plus the i8
-    /// panels and i32 accumulators.
-    fn prepare_forward_i8(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
-        let want = Some((b, *g));
-        if self.key_i8 != want {
-            let len = b * g.col_rows() * g.col_cols();
-            // Geometry switches re-zero `qcols` (padding positions
-            // must hold zeros), so they intentionally bypass the
-            // grow-only accounting.
-            self.qcols.clear();
-            self.qcols.resize(len, 0);
-            self.key_i8 = want;
-        }
+    /// Readies the forward table and the quantized-forward buffers: the
+    /// i8 input staging with its per-sample slack, the i8 panels and
+    /// the i32 accumulators.
+    fn prepare_forward_i8(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) -> Result<()> {
+        self.fwd_table.prepare(g, kern.nr(), false, &mut self.grows)?;
         let (nk2, p) = (g.col_rows(), g.col_cols());
+        let qx_stride = g.in_channels * g.in_h * g.in_w + GATHER_I8_SLACK;
         let grows = &mut self.grows;
         grow_scratch(
             &mut self.packed_w_i8,
@@ -402,14 +452,17 @@ impl ConvWorkspace {
             grows,
             "conv_i8",
         );
-        grow_scratch(&mut self.qx, b * g.in_channels * g.in_h * g.in_w, grows, "conv_i8");
+        grow_scratch(&mut self.qx, b * qx_stride, grows, "conv_i8");
         grow_scratch(&mut self.packed_cols_i8, b * packed_b_len(nk2, p, kern.nr()), grows, "conv_i8");
         grow_scratch(&mut self.acc_i32, b * g.out_channels * p, grows, "conv_i8");
+        Ok(())
     }
 
-    /// Sizes the backward scratch and packing buffers (contents need no
-    /// zeroing: the packed kernels and packers assign every element).
-    fn prepare_backward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
+    /// Readies the weight-gradient table and sizes the backward scratch
+    /// and packing buffers (contents need no zeroing: the packed
+    /// kernels, packers and gathers assign every element).
+    fn prepare_backward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) -> Result<()> {
+        self.dw_table.prepare(g, kern.nr(), true, &mut self.grows)?;
         let (m, nk2, p) = (g.out_channels, g.col_rows(), g.col_cols());
         let (mr, nr) = (kern.mr(), kern.nr());
         let grows = &mut self.grows;
@@ -420,53 +473,27 @@ impl ConvWorkspace {
         Self::grow(&mut self.packed_dy_a, b * packed_a_len(m, p, mr), grows);
         Self::grow(&mut self.packed_colt, b * packed_b_len(p, nk2, nr), grows);
         Self::grow(&mut self.packed_dy_b, b * packed_b_len(m, p, nr), grows);
+        Ok(())
     }
 }
 
-/// Batched convolution forward pass.
+/// Batched convolution forward pass into a reusable [`ConvWorkspace`].
 ///
 /// * `input`: `(B, C, H, W)`
 /// * `weight`: `(M, C, K, K)`
 /// * `bias`: `(M,)`
 ///
-/// Returns the output `(B, M, R, C)` together with the per-sample im2col
-/// matrices, which the backward pass reuses (C-INTERMEDIATE).
+/// Returns the output `(B, M, R, C)`, bitwise identical for any thread
+/// count. Each sample's GEMM B-panels are gathered straight from its
+/// input through the workspace's gather table, and the input is kept
+/// in `ws` for [`conv2d_backward_ws`]; repeated calls with a stable
+/// batch size and geometry do not allocate. Samples are processed in
+/// parallel on the shared worker pool when the batch is large enough.
 ///
 /// # Errors
 ///
-/// Returns an error on any shape disagreement with the geometry.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    g: &ConvGeometry,
-) -> Result<(Tensor, Vec<Tensor>)> {
-    let mut ws = ConvWorkspace::new();
-    let out = conv2d_forward_ws(input, weight, bias, g, &mut ws)?;
-    let b = input.dims()[0];
-    let col_len = g.col_rows() * g.col_cols();
-    let cols = (0..b)
-        .map(|s| {
-            Tensor::from_vec(
-                [g.col_rows(), g.col_cols()],
-                ws.cols[s * col_len..(s + 1) * col_len].to_vec(),
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok((out, cols))
-}
-
-/// Batched convolution forward pass into a reusable [`ConvWorkspace`].
-///
-/// Same computation as [`conv2d_forward`] — bitwise identical output for
-/// any thread count — but the im2col matrices live in `ws` instead of
-/// per-sample tensors, so repeated calls with a stable batch size and
-/// geometry do not allocate. Samples are processed in parallel on the
-/// shared worker pool when the batch is large enough.
-///
-/// # Errors
-///
-/// Returns an error on any shape disagreement with the geometry.
+/// Returns an error on any shape disagreement with the geometry, or if
+/// `C·H·W` does not fit the `i32` gather index.
 pub fn conv2d_forward_ws(
     input: &Tensor,
     weight: &Tensor,
@@ -477,7 +504,7 @@ pub fn conv2d_forward_ws(
     let b = batch_of(input, g)?;
     check_weight_bias(weight, bias, g)?;
     let kern = Kernel::select();
-    ws.prepare_forward(b, g, kern);
+    ws.prepare_forward(b, g, kern)?;
     let sample_len = g.in_channels * g.in_h * g.in_w;
     let out_len = g.out_channels * g.out_h * g.out_w;
     let _t = conv_telemetry(
@@ -488,11 +515,11 @@ pub fn conv2d_forward_ws(
     );
     let nk2 = g.col_rows();
     let positions = g.col_cols();
-    let col_len = nk2 * positions;
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
     let pb_len = packed_b_len(nk2, positions, kern.nr());
     let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
     let xv = input.as_slice();
+    ws.saved_x[..xv.len()].copy_from_slice(xv);
     {
         // (M, N, K, K) weights are row-major, so the flat slice *is* the
         // (M, N·K²) filter matrix Fm; pack it once for the whole batch.
@@ -503,15 +530,12 @@ pub fn conv2d_forward_ws(
     let parts = plan_parts(b, b as u64 * g.ops());
     {
         let out_base = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let cols_base = SendPtr(ws.cols.as_mut_ptr());
         let pcols_base = SendPtr(ws.packed_cols.as_mut_ptr());
         let pw = &ws.packed_w[..pa_len];
+        let idx = &ws.fwd_table.idx[..pb_len];
         let run = |s: usize| {
             // SAFETY: task `s` touches only sample `s`'s slice of each
             // buffer; samples are disjoint.
-            let col = unsafe {
-                std::slice::from_raw_parts_mut(cols_base.get().add(s * col_len), col_len)
-            };
             let pcol = unsafe {
                 std::slice::from_raw_parts_mut(pcols_base.get().add(s * pb_len), pb_len)
             };
@@ -519,10 +543,10 @@ pub fn conv2d_forward_ws(
                 std::slice::from_raw_parts_mut(out_base.get().add(s * out_len), out_len)
             };
             let xs = &xv[s * sample_len..(s + 1) * sample_len];
-            im2col_into(xs, g, col);
-            // Fm × Dm: the micro-kernel assigns every output element,
-            // then the bias is added on top.
-            pack_b(col, nk2, positions, false, kern.nr(), pcol);
+            // Fm × Dm: the gather assigns every panel element, the
+            // micro-kernel every output element, then the bias is
+            // added on top.
+            dispatch(GatherF32 { src: xs, idx, dst: pcol });
             kern.run_band(pw, pcol, nk2, positions, 0..g.out_channels, dst);
             for m in 0..g.out_channels {
                 let bm = bv[m];
@@ -550,20 +574,23 @@ pub fn conv2d_forward_ws(
 /// * `qweight`: the filter bank flattened to `(M, N·K²)` and quantized
 ///   per output channel ([`QuantizedMatrix`]).
 ///
-/// Each sample is quantized once, then im2col runs in the i8 domain
-/// (it only moves values, and `quantize(0) == 0` keeps the padding
-/// contract — quantizing the stretched matrix instead would round each
-/// element K² times for bit-identical output), the GEMM runs in i8
-/// with i32 accumulation, and each output channel dequantizes with
+/// Each sample is quantized once, then its B-panels are gathered in the
+/// i8 domain through the same table as the f32 pass (a gather only
+/// moves values, and padding taps read as `0 == quantize(0)` —
+/// quantizing the stretched matrix instead would round each element K²
+/// times for bit-identical output), the GEMM runs in i8 with i32
+/// accumulation, and each output channel dequantizes with
 /// `in_scale · w_scale[m]` before the f32 bias is added. Integer
 /// accumulation is exact and the dequantization is element-wise, so the
 /// result is deterministic at any kernel and thread count. Buffers live
 /// in `ws` and only ever grow: steady state allocates nothing beyond
-/// the returned output tensor.
+/// the returned output tensor. The pass leaves the state a later
+/// [`conv2d_backward_ws`] reads untouched.
 ///
 /// # Errors
 ///
-/// Returns an error on any shape disagreement with the geometry.
+/// Returns an error on any shape disagreement with the geometry, or if
+/// `C·H·W` does not fit the `i32` gather index.
 pub fn conv2d_forward_i8_ws(
     input: &Tensor,
     qweight: &QuantizedMatrix,
@@ -595,8 +622,9 @@ pub fn conv2d_forward_i8_ws(
         });
     }
     let kern = Kernel::select();
-    ws.prepare_forward_i8(b, g, kern);
+    ws.prepare_forward_i8(b, g, kern)?;
     let sample_len = g.in_channels * g.in_h * g.in_w;
+    let qx_stride = sample_len + GATHER_I8_SLACK;
     let out_len = g.out_channels * g.out_h * g.out_w;
     let _t = telemetry::span_with("tensor.quant.conv2d_fwd", || {
         format!(
@@ -605,17 +633,15 @@ pub fn conv2d_forward_i8_ws(
             g.pad
         )
     });
+    let nk2 = g.col_rows();
+    let positions = g.col_cols();
+    let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
+    let pb_len = packed_b_len(nk2, positions, kern.nr());
     telemetry::counter_add(
         "tensor.quant.bytes",
         "conv_i8",
-        (4 * b * sample_len + qweight.data().len() + b * g.col_rows() * g.col_cols()
-            + 4 * b * out_len) as u64,
+        (4 * b * sample_len + qweight.data().len() + b * pb_len + 4 * b * out_len) as u64,
     );
-    let nk2 = g.col_rows();
-    let positions = g.col_cols();
-    let col_len = nk2 * positions;
-    let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
-    let pb_len = packed_b_len(nk2, positions, kern.nr());
     let acc_len = g.out_channels * positions;
     let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
     let xv = input.as_slice();
@@ -636,18 +662,15 @@ pub fn conv2d_forward_i8_ws(
     {
         let out_base = SendPtr(out.as_mut_slice().as_mut_ptr());
         let qx_base = SendPtr(ws.qx.as_mut_ptr());
-        let qcols_base = SendPtr(ws.qcols.as_mut_ptr());
         let pcols_base = SendPtr(ws.packed_cols_i8.as_mut_ptr());
         let acc_base = SendPtr(ws.acc_i32.as_mut_ptr());
         let pw = &ws.packed_w_i8[..pa_len];
+        let idx = &ws.fwd_table.idx[..pb_len];
         let run = |s: usize| {
             // SAFETY: task `s` touches only sample `s`'s slice of each
             // buffer; samples are disjoint.
             let qxs = unsafe {
-                std::slice::from_raw_parts_mut(qx_base.get().add(s * sample_len), sample_len)
-            };
-            let qcol = unsafe {
-                std::slice::from_raw_parts_mut(qcols_base.get().add(s * col_len), col_len)
+                std::slice::from_raw_parts_mut(qx_base.get().add(s * qx_stride), qx_stride)
             };
             let pcol = unsafe {
                 std::slice::from_raw_parts_mut(pcols_base.get().add(s * pb_len), pb_len)
@@ -659,13 +682,10 @@ pub fn conv2d_forward_i8_ws(
                 std::slice::from_raw_parts_mut(out_base.get().add(s * out_len), out_len)
             };
             let xs = &xv[s * sample_len..(s + 1) * sample_len];
-            // Quantize the sample once, then stretch in the i8 domain:
-            // im2col duplicates each element up to K² times, so
-            // rounding after the stretch would do K² times the work
-            // for bit-identical output.
-            quantize_i8(xs, in_scale, qxs);
-            im2col_into(qxs, g, qcol);
-            pack_b_i8(qcol, nk2, positions, false, kern.nr(), pcol);
+            // Quantize the sample once, then gather in the i8 domain
+            // (the gather may read the slack bytes after it).
+            quantize_i8(xs, in_scale, &mut qxs[..sample_len]);
+            dispatch(GatherI8 { src: qxs, idx, dst: pcol });
             kern.run_band_i8(pw, pcol, nk2, positions, 0..g.out_channels, acc);
             for m in 0..g.out_channels {
                 let factor = in_scale * scales[m];
@@ -688,51 +708,21 @@ pub fn conv2d_forward_i8_ws(
     Ok(out)
 }
 
-/// Gradients of a batched convolution.
+/// Gradients of a batched convolution, given the upstream gradient
+/// `dout: (B, M, R, C)` and the input that [`conv2d_forward_ws`] saved
+/// in `ws`. Returns `(dinput, dweight, dbias)`.
 ///
-/// Given the upstream gradient `dout: (B, M, R, C)` and the im2col
-/// matrices saved by [`conv2d_forward`], returns
-/// `(dinput, dweight, dbias)`.
-///
-/// # Errors
-///
-/// Returns an error on any shape disagreement with the geometry.
-pub fn conv2d_backward(
-    dout: &Tensor,
-    weight: &Tensor,
-    cols: &[Tensor],
-    g: &ConvGeometry,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    let b = cols.len();
-    let col_len = g.col_rows() * g.col_cols();
-    let mut ws = ConvWorkspace::new();
-    ws.prepare_forward(b, g, Kernel::select());
-    for (s, col) in cols.iter().enumerate() {
-        let expected = [g.col_rows(), g.col_cols()];
-        if col.dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                expected: expected.to_vec(),
-                actual: col.dims().to_vec(),
-                op: "conv2d_backward",
-            });
-        }
-        ws.cols[s * col_len..(s + 1) * col_len].copy_from_slice(col.as_slice());
-    }
-    conv2d_backward_ws(dout, weight, g, &mut ws)
-}
-
-/// Gradients of a batched convolution, reading the im2col matrices that
-/// [`conv2d_forward_ws`] saved in `ws`.
-///
-/// Same computation as [`conv2d_backward`] — bitwise identical gradients
-/// for any thread count: samples run in parallel into per-sample partial
+/// Each sample's weight-gradient operand `Dmᵀ` is gathered from the
+/// saved input through a second gather table, built on the first
+/// backward pass at a geometry. Gradients are bitwise identical for
+/// any thread count: samples run in parallel into per-sample partial
 /// buffers, which are then reduced in ascending sample order exactly as
 /// the sequential loop accumulates them.
 ///
 /// # Errors
 ///
-/// Returns an error if `ws` holds no forward pass for this geometry, or
-/// on any shape disagreement with the geometry.
+/// Returns an error if `ws` holds no f32 forward pass for this batch
+/// size and geometry, or on any shape disagreement with the geometry.
 pub fn conv2d_backward_ws(
     dout: &Tensor,
     weight: &Tensor,
@@ -765,7 +755,7 @@ pub fn conv2d_backward_ws(
         });
     }
     let kern = Kernel::select();
-    ws.prepare_backward(b, g, kern);
+    ws.prepare_backward(b, g, kern)?;
     let (mr, nr) = (kern.mr(), kern.nr());
     let m_ch = g.out_channels;
     let positions = g.col_cols();
@@ -777,7 +767,7 @@ pub fn conv2d_backward_ws(
         "tensor.conv2d_bwd",
         b,
         g,
-        4 * (b * (out_len + col_len + sample_len) + weight.len() + dw_len) as u64,
+        4 * (b * (out_len + 2 * sample_len) + weight.len() + dw_len) as u64,
     );
 
     let mut dinput = Tensor::zeros([b, g.in_channels, g.in_h, g.in_w]);
@@ -801,11 +791,12 @@ pub fn conv2d_backward_ws(
         let pdya_base = SendPtr(ws.packed_dy_a.as_mut_ptr());
         let pcolt_base = SendPtr(ws.packed_colt.as_mut_ptr());
         let pdyb_base = SendPtr(ws.packed_dy_b.as_mut_ptr());
-        let cols = &ws.cols;
+        let saved_x = &ws.saved_x;
+        let dw_idx = &ws.dw_table.idx[..pcolt_len];
         let pwt = &ws.packed_wt[..pwt_len];
         let run = |s: usize| {
             let dy = &dv[s * out_len..(s + 1) * out_len]; // (M, P)
-            let col = &cols[s * col_len..(s + 1) * col_len]; // (N·K², P)
+            let xs = &saved_x[s * sample_len..(s + 1) * sample_len];
             // SAFETY: task `s` touches only sample `s`'s slice of each
             // scratch/output buffer; samples are disjoint.
             let pdya = unsafe {
@@ -818,11 +809,11 @@ pub fn conv2d_backward_ws(
                 std::slice::from_raw_parts_mut(pdyb_base.get().add(s * pdyb_len), pdyb_len)
             };
             let dw = unsafe { std::slice::from_raw_parts_mut(dw_base.get().add(s * dw_len), dw_len) };
-            // dW_s = dY · colᵀ → (M, N·K²); col is (N·K², P) = (n, k),
-            // so its transposed packing is the B-operand. The kernel
-            // assigns every element, so `dw` needs no pre-zeroing.
+            // dW_s = dY · Dmᵀ → (M, N·K²); the packed Dmᵀ B-operand is
+            // gathered from the saved input. The kernel assigns every
+            // element, so `dw` needs no pre-zeroing.
             pack_a(dy, m_ch, positions, false, mr, pdya);
-            pack_b(col, positions, nk2, true, nr, pcolt);
+            dispatch(GatherF32 { src: xs, idx: dw_idx, dst: pcolt });
             kern.run_band(pdya, pcolt, positions, nk2, 0..m_ch, dw);
             // db_s = row sums of dY.
             let db = unsafe {
@@ -914,6 +905,26 @@ mod tests {
         ConvGeometry::new(2, 5, 5, 3, 3, 1, 1).unwrap()
     }
 
+    /// A forward pass on a fresh workspace.
+    fn forward(x: &Tensor, w: &Tensor, bias: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
+        conv2d_forward_ws(x, w, bias, g, &mut ConvWorkspace::new())
+    }
+
+    /// A forward and backward pass on one fresh workspace:
+    /// `(y, dx, dw, db)`.
+    fn forward_backward(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &Tensor,
+        dout: &Tensor,
+        g: &ConvGeometry,
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
+        let mut ws = ConvWorkspace::new();
+        let y = conv2d_forward_ws(x, w, bias, g, &mut ws).unwrap();
+        let (dx, dw, db) = conv2d_backward_ws(dout, w, g, &mut ws).unwrap();
+        (y, dx, dw, db)
+    }
+
     #[test]
     fn geometry_math() {
         let g = ConvGeometry::new(3, 36, 36, 8, 3, 1, 1).unwrap();
@@ -960,7 +971,7 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 3, 3], (1..=9).map(|i| i as f32).collect()).unwrap();
         let w = Tensor::filled([1, 1, 2, 2], 1.0);
         let bias = Tensor::zeros([1]);
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         assert_eq!(y.as_slice(), &[12.0, 16.0, 24.0, 28.0]);
     }
 
@@ -970,7 +981,7 @@ mod tests {
         let x = Tensor::zeros([1, 1, 2, 2]);
         let w = Tensor::zeros([2, 1, 1, 1]);
         let bias = Tensor::from_vec([2], vec![0.5, -1.5]).unwrap();
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         assert_eq!(&y.as_slice()[0..4], &[0.5; 4]);
         assert_eq!(&y.as_slice()[4..8], &[-1.5; 4]);
     }
@@ -1007,13 +1018,12 @@ mod tests {
         let w = Tensor::rand_uniform([2, 2, 3, 3], -0.5, 0.5, &mut rng);
         let bias = Tensor::rand_uniform([2], -0.1, 0.1, &mut rng);
         // Loss = sum(output); so dout = ones.
-        let (_, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
         let dout = Tensor::filled([1, 2, g.out_h, g.out_w], 1.0);
-        let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+        let (_, dx, dw, db) = forward_backward(&x, &w, &bias, &dout, &g);
 
         let eps = 1e-2f32;
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f32 {
-            conv2d_forward(x, w, b, &g).unwrap().0.sum()
+            forward(x, w, b, &g).unwrap().sum()
         };
         // Check a scattering of weight coordinates.
         for idx in [0usize, 5, 17, 35] {
@@ -1053,7 +1063,7 @@ mod tests {
         let x = Tensor::rand_uniform([3, 2, 5, 5], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
         let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         let sample_len = 2 * 5 * 5;
         let out_len = 3 * g.out_h * g.out_w;
         for s in 0..3 {
@@ -1062,7 +1072,7 @@ mod tests {
                 x.as_slice()[s * sample_len..(s + 1) * sample_len].to_vec(),
             )
             .unwrap();
-            let (ys, _) = conv2d_forward(&xs, &w, &bias, &g).unwrap();
+            let ys = forward(&xs, &w, &bias, &g).unwrap();
             assert_eq!(&y.as_slice()[s * out_len..(s + 1) * out_len], ys.as_slice());
         }
     }
@@ -1073,10 +1083,10 @@ mod tests {
         let bad_x = Tensor::zeros([1, 3, 5, 5]);
         let w = Tensor::zeros([3, 2, 3, 3]);
         let bias = Tensor::zeros([3]);
-        assert!(conv2d_forward(&bad_x, &w, &bias, &g).is_err());
+        assert!(forward(&bad_x, &w, &bias, &g).is_err());
         let x = Tensor::zeros([1, 2, 5, 5]);
-        assert!(conv2d_forward(&x, &Tensor::zeros([3, 2, 2, 2]), &bias, &g).is_err());
-        assert!(conv2d_forward(&x, &w, &Tensor::zeros([4]), &g).is_err());
+        assert!(forward(&x, &Tensor::zeros([3, 2, 2, 2]), &bias, &g).is_err());
+        assert!(forward(&x, &w, &Tensor::zeros([4]), &g).is_err());
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -1097,8 +1107,7 @@ mod tests {
             let dout = Tensor::rand_uniform([2, 3, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
             let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
             let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
-            let (y2, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-            let (dx2, dw2, db2) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+            let (y2, dx2, dw2, db2) = forward_backward(&x, &w, &bias, &dout, &g);
             assert_eq!(bits(&y), bits(&y2));
             assert_eq!(bits(&dx), bits(&dx2));
             assert_eq!(bits(&dw), bits(&dw2));
@@ -1108,9 +1117,9 @@ mod tests {
 
     #[test]
     fn workspace_survives_geometry_switch() {
-        // Switching batch size or geometry must re-zero the column
-        // buffer; stale padding taps from the previous shape would
-        // otherwise leak into the new pass.
+        // Switching batch size or geometry must rebuild the gather
+        // table; a stale table from the previous shape would otherwise
+        // read the wrong taps in the new pass.
         let g1 = small_geom();
         let g2 = ConvGeometry::new(2, 7, 7, 4, 3, 1, 1).unwrap();
         let mut rng = Rng::seed_from(32);
@@ -1120,7 +1129,7 @@ mod tests {
             let w = Tensor::rand_uniform([m, 2, 3, 3], -0.5, 0.5, &mut rng);
             let bias = Tensor::rand_uniform([m], -0.1, 0.1, &mut rng);
             let y = conv2d_forward_ws(&x, &w, &bias, g, &mut ws).unwrap();
-            let (y2, _) = conv2d_forward(&x, &w, &bias, g).unwrap();
+            let y2 = forward(&x, &w, &bias, g).unwrap();
             assert_eq!(bits(&y), bits(&y2));
         }
     }
@@ -1141,8 +1150,9 @@ mod tests {
         assert!(conv2d_backward_ws(&dout, &w, &g, &mut ws).is_err());
     }
 
-    /// The per-element im2col the row runs replaced: one signed bounds
-    /// check per tap. Kept as the bitwise oracle.
+    /// The per-element im2col the row-run walker replaced: one signed
+    /// bounds check per tap. Kept as the bitwise oracle of every gather
+    /// table.
     fn im2col_oracle<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
         let cols = g.col_cols();
         let (h, w, k) = (g.in_h, g.in_w, g.kernel);
@@ -1198,26 +1208,50 @@ mod tests {
         }
     }
 
-    /// Asserts the row-run lowering equals the oracles bit for bit at
-    /// `g`: im2col in f32 and in i8 over a sentinel-filled output (a
-    /// value neither domain produces, so a write to a padding position
-    /// shows), and col2im accumulating into a non-zero `dx`.
+    /// Asserts the lowering equals the oracles bit for bit at `g`. At
+    /// every GEMM tile width (4, 8, 16), the gathered f32 and i8
+    /// forward panels must equal `pack_b` of the oracle im2col matrix,
+    /// and the gathered weight-gradient panel its transposed `pack_b`;
+    /// each gather writes over a sentinel (a value neither domain
+    /// produces), so an element it skips shows. The public `im2col`
+    /// must equal the oracle matrix, and col2im accumulating into a
+    /// non-zero `dx` its oracle.
     fn assert_lowering_matches_oracle(g: &ConvGeometry, seed: u64) {
         let mut rng = Rng::seed_from(seed);
         let x = Tensor::rand_uniform([g.in_channels, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
-        let n = g.col_rows() * g.col_cols();
-        let (mut fast, mut slow) = (vec![7.5f32; n], vec![7.5f32; n]);
-        im2col_into(x.as_slice(), g, &mut fast);
-        im2col_oracle(x.as_slice(), g, &mut slow);
+        let (rows, cols) = (g.col_rows(), g.col_cols());
+        let n = rows * cols;
         let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(f32_bits(&fast), f32_bits(&slow), "f32 im2col at {g:?}");
+        let mut col = vec![0.0f32; n];
+        im2col_oracle(x.as_slice(), g, &mut col);
+        let stretched = im2col(&x, g).unwrap();
+        assert_eq!(f32_bits(stretched.as_slice()), f32_bits(&col), "im2col at {g:?}");
 
-        let mut qx = vec![0i8; x.len()];
-        quantize_i8(x.as_slice(), 1.0 / 127.0, &mut qx);
-        let (mut qfast, mut qslow) = (vec![i8::MIN; n], vec![i8::MIN; n]);
-        im2col_into(&qx, g, &mut qfast);
-        im2col_oracle(&qx, g, &mut qslow);
-        assert_eq!(qfast, qslow, "i8 im2col at {g:?}");
+        let mut qx = vec![0i8; x.len() + GATHER_I8_SLACK];
+        quantize_i8(x.as_slice(), 1.0 / 127.0, &mut qx[..x.len()]);
+        let mut qcol = vec![0i8; n];
+        im2col_oracle(&qx, g, &mut qcol);
+        for nr in [4, 8, 16] {
+            let len = packed_b_len(rows, cols, nr);
+            let mut idx = vec![0i32; len];
+            gather_table(g, nr, false, &mut idx);
+            let (mut want, mut got) = (vec![0.0f32; len], vec![7.5f32; len]);
+            pack_b(&col, rows, cols, false, nr, &mut want);
+            dispatch(GatherF32 { src: x.as_slice(), idx: &idx, dst: &mut got });
+            assert_eq!(f32_bits(&got), f32_bits(&want), "f32 panel nr{nr} at {g:?}");
+            let (mut qwant, mut qgot) = (vec![0i8; len], vec![i8::MIN; len]);
+            pack_b(&qcol, rows, cols, false, nr, &mut qwant);
+            dispatch(GatherI8 { src: &qx, idx: &idx, dst: &mut qgot });
+            assert_eq!(qgot, qwant, "i8 panel nr{nr} at {g:?}");
+
+            let len = packed_b_len(cols, rows, nr);
+            let mut idx = vec![0i32; len];
+            gather_table(g, nr, true, &mut idx);
+            let (mut want, mut got) = (vec![0.0f32; len], vec![7.5f32; len]);
+            pack_b(&col, cols, rows, true, nr, &mut want);
+            dispatch(GatherF32 { src: x.as_slice(), idx: &idx, dst: &mut got });
+            assert_eq!(f32_bits(&got), f32_bits(&want), "dW panel nr{nr} at {g:?}");
+        }
 
         let dcol = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
         let dx = Tensor::rand_uniform([x.len()], -1.0, 1.0, &mut rng);
@@ -1348,5 +1382,51 @@ mod tests {
             }
             assert_eq!(bits(&yq), want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn steady_state_passes_never_grow_the_workspace() {
+        // Once every pass kind has run at both geometries, f32 → i8 →
+        // f32 passes and a geometry switch and back reuse every buffer,
+        // gather tables included, and still match a fresh workspace.
+        let g1 = small_geom();
+        let g2 = ConvGeometry::new(2, 7, 6, 3, 3, 2, 1).unwrap();
+        let mut rng = Rng::seed_from(35);
+        let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+        let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
+        let qw = QuantizedMatrix::from_rows(w.as_slice(), 3, 18).unwrap();
+        let mut ws = ConvWorkspace::new();
+        let mut pass = |g: &ConvGeometry, ws: &mut ConvWorkspace| {
+            let x = Tensor::rand_uniform([2, 2, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+            let dout = Tensor::rand_uniform([2, 3, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
+            conv2d_forward_ws(&x, &w, &bias, g, ws).unwrap();
+            conv2d_backward_ws(&dout, &w, g, ws).unwrap();
+            let yq = conv2d_forward_i8_ws(&x, &qw, &bias, g, 0.01, ws).unwrap();
+            let y = conv2d_forward_ws(&x, &w, &bias, g, ws).unwrap();
+            let (dx, dw, db) = conv2d_backward_ws(&dout, &w, g, ws).unwrap();
+            let fresh = forward_backward(&x, &w, &bias, &dout, g);
+            let mut fresh_ws = ConvWorkspace::new();
+            let fresh_q = conv2d_forward_i8_ws(&x, &qw, &bias, g, 0.01, &mut fresh_ws).unwrap();
+            assert_eq!(bits(&yq), bits(&fresh_q));
+            for (a, b) in [(&y, &fresh.0), (&dx, &fresh.1), (&dw, &fresh.2), (&db, &fresh.3)] {
+                assert_eq!(bits(a), bits(b));
+            }
+        };
+        pass(&g1, &mut ws);
+        pass(&g2, &mut ws);
+        let warm = ws.reallocations();
+        for g in [&g1, &g2, &g1] {
+            pass(g, &mut ws);
+            assert_eq!(ws.reallocations(), warm, "grew at {g:?}");
+        }
+    }
+
+    #[test]
+    fn index_range_is_checked_before_any_table_is_sized() {
+        // 46341² > i32::MAX: the indices of this input would wrap.
+        let big = ConvGeometry::new(1, 46341, 46341, 1, 1, 1, 0).unwrap();
+        assert!(matches!(check_index_range(&big), Err(TensorError::InvalidGeometry { .. })));
+        let fits = ConvGeometry::new(1, 46340, 46340, 1, 1, 1, 0).unwrap();
+        assert!(check_index_range(&fits).is_ok());
     }
 }

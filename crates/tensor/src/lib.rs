@@ -3,10 +3,10 @@
 //! Dense `f32` tensors and the numeric kernels used by the In-situ AI
 //! reproduction: packed register-tiled GEMM (BLIS-style operand packing
 //! into a reusable [`GemmScratch`] arena feeding an MR×NR micro-kernel),
-//! im2col convolution (the exact lowering the paper's Fig. 8 describes
-//! for GPU execution), max pooling, and a deterministic PCG32 random
-//! number generator so every experiment is reproducible from a single
-//! seed.
+//! convolution lowered to GEMM (the paper's Fig. 8 GPU lowering, with
+//! each sample's GEMM panels gathered straight from its input), max
+//! pooling, and a deterministic PCG32 random number generator so every
+//! experiment is reproducible from a single seed.
 //!
 //! Large GEMMs and batched convolutions run on a shared worker pool (see
 //! [`parallel`]); thread count comes from [`set_num_threads`] or the
@@ -14,10 +14,10 @@
 //! identical for any setting.
 //!
 //! The non-GEMM hot ops (ReLU, maxpool, softmax, quantization,
-//! metric reductions) go through the [`simd`] dispatch layer: one
-//! [`simd::SimdOp`] trait, a scalar oracle body per op, and
-//! runtime-detected vector bodies (AVX2 and AVX-512 on x86-64, NEON
-//! on aarch64), all pinnable with
+//! metric reductions, the conv panel gathers) go through the [`simd`]
+//! dispatch layer: one [`simd::SimdOp`] trait, a scalar oracle body
+//! per op, and runtime-detected vector bodies (AVX2 and AVX-512 on
+//! x86-64, NEON on aarch64), all pinnable with
 //! `INSITU_SIMD=scalar|avx2|avx512|neon`.
 //!
 //! A symmetric-i8 fixed-point inference path ([`matmul_i8`],
@@ -29,7 +29,7 @@
 //! ## Example
 //!
 //! ```
-//! use insitu_tensor::{matmul, ConvGeometry, Rng, Tensor};
+//! use insitu_tensor::{conv2d_forward_ws, ConvGeometry, ConvWorkspace, Rng, Tensor};
 //!
 //! # fn main() -> Result<(), insitu_tensor::TensorError> {
 //! let mut rng = Rng::seed_from(42);
@@ -37,7 +37,7 @@
 //! let w = Tensor::randn([4, 3, 3, 3], 0.0, 0.1, &mut rng);
 //! let b = Tensor::zeros([4]);
 //! let g = ConvGeometry::new(3, 8, 8, 4, 3, 1, 1)?;
-//! let (y, _) = insitu_tensor::conv2d_forward(&x, &w, &b, &g)?;
+//! let y = conv2d_forward_ws(&x, &w, &b, &g, &mut ConvWorkspace::new())?;
 //! assert_eq!(y.dims(), &[1, 4, 8, 8]);
 //! # Ok(())
 //! # }
@@ -59,8 +59,8 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_i8_ws,
-    conv2d_forward_ws, im2col, ConvGeometry, ConvWorkspace,
+    col2im, conv2d_backward_ws, conv2d_forward_i8_ws, conv2d_forward_ws, im2col, ConvGeometry,
+    ConvWorkspace,
 };
 pub use error::TensorError;
 pub use matmul::{

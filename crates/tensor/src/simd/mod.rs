@@ -8,7 +8,8 @@
 //! the op *means* — and every vector body is **bitwise exact** against
 //! it (compared with `to_bits`): ReLU forward / train / backward,
 //! clamp, affine, `quantize_i8`, max-abs, max-abs-diff, the 8-lane
-//! sum, softmax, and maxpool (values *and* argmax). Exactness includes
+//! sum, softmax, maxpool (values *and* argmax), and the f32/i8 index
+//! gathers that pack the conv GEMM's B-panels. Exactness includes
 //! NaN, infinities and `-0.0` for the elementwise ops, and holds at
 //! any thread count — parallel splits are aligned so no partial result
 //! crosses a task boundary, and ragged tails replicate the vector
@@ -38,6 +39,7 @@
 
 mod dispatch;
 mod elementwise;
+mod gather;
 mod maxpool;
 mod quantize;
 mod reduce;
@@ -46,6 +48,7 @@ mod softmax;
 pub use dispatch::{dispatch, dispatch_on, simd_isa_name, Isa, SimdOp, ISA_NAMES};
 pub(crate) use dispatch::parse_isa_request;
 pub use elementwise::{Affine, Clamp, Relu, ReluBackward, ReluTrain};
+pub use gather::{GatherF32, GatherI8, GATHER_I8_SLACK};
 pub use maxpool::MaxPool2d;
 pub use quantize::QuantizeI8;
 pub use reduce::{MaxAbs, MaxAbsDiff, MinMax, Sum8};

@@ -1,8 +1,9 @@
 //! Property-based tests for the tensor kernels.
 
 use insitu_tensor::{
-    col2im, conv2d_backward, conv2d_forward, im2col, matmul, matmul_naive, matmul_nt, matmul_tn,
-    matvec, num_threads, set_num_threads, ConvGeometry, Rng, Shape, Tensor,
+    col2im, conv2d_backward_ws, conv2d_forward_ws, im2col, matmul, matmul_naive, matmul_nt,
+    matmul_tn, matvec, num_threads, set_num_threads, ConvGeometry, ConvWorkspace, Rng, Shape,
+    Tensor,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -168,8 +169,9 @@ proptest! {
         let bias = Tensor::rand_uniform([m], -0.1, 0.1, &mut rng);
         let dout = Tensor::rand_uniform([b, m, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
         let run = || {
-            let (y, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-            let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+            let mut ws = ConvWorkspace::new();
+            let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+            let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
             (y, dx, dw, db)
         };
         let reference = with_threads(1, run);
@@ -232,8 +234,9 @@ fn parallel_conv_bitwise_on_paper_batch() {
     let bias = Tensor::rand_uniform([24], -0.1, 0.1, &mut rng);
     let dout = Tensor::rand_uniform([b, 24, 18, 18], -1.0, 1.0, &mut rng);
     let run = || {
-        let (y, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-        let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+        let mut ws = ConvWorkspace::new();
+        let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+        let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
         (y, dx, dw, db)
     };
     let reference = with_threads(1, run);

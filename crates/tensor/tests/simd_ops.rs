@@ -5,10 +5,10 @@
 //! ([`Isa::supported`]) to it **bitwise** (compared via `to_bits`)
 //! across ragged shapes and 1/2/4 threads, per the policy in
 //! `insitu_tensor::simd`: relu forward / train / backward, clamp,
-//! affine, quantize_i8, max_abs, max_abs_diff, sum8, softmax, and
-//! maxpool values *and* argmax. Softmax is additionally checked
-//! against a plain libm reference within 1e-6 absolute, pinning the
-//! documented accuracy of its polynomial `exp`.
+//! affine, quantize_i8, max_abs, max_abs_diff, sum8, softmax, maxpool
+//! values *and* argmax, and the f32 / i8 index gathers. Softmax is
+//! additionally checked against a plain libm reference within 1e-6
+//! absolute, pinning the documented accuracy of its polynomial `exp`.
 //!
 //! Beyond scalar↔vector, `cross_isa_all_pairs_bitwise` holds every
 //! *pair* of host-supported ISAs to each other at 1/2/4 threads, and
@@ -20,10 +20,14 @@
 //! with `INSITU_SIMD=avx512`.
 
 use insitu_tensor::simd::{
-    dispatch_on, simd_isa_name, Affine, Clamp, Isa, MaxAbs, MaxAbsDiff, MaxPool2d, MinMax,
-    QuantizeI8, Relu, ReluBackward, ReluTrain, SoftmaxRows, Sum8, ISA_NAMES,
+    dispatch_on, simd_isa_name, Affine, Clamp, GatherF32, GatherI8, Isa, MaxAbs, MaxAbsDiff,
+    MaxPool2d, MinMax, QuantizeI8, Relu, ReluBackward, ReluTrain, SoftmaxRows, Sum8,
+    GATHER_I8_SLACK, ISA_NAMES,
 };
-use insitu_tensor::{maxpool2d_forward, num_threads, set_num_threads, PoolGeometry, Rng, Tensor};
+use insitu_tensor::{
+    conv2d_forward_i8_ws, conv2d_forward_ws, maxpool2d_forward, num_threads, set_num_threads,
+    ConvGeometry, ConvWorkspace, PoolGeometry, QuantizedMatrix, Rng, Tensor, TensorError,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -51,6 +55,22 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
             _ => rng.uniform(-100.0, 100.0),
         })
         .collect()
+}
+
+/// A gather table over a source of `src_len` elements: every third
+/// entry −1 (a padding tap), the rest uniform over the source.
+fn gather_table(len: usize, src_len: usize, seed: u64) -> Vec<i32> {
+    let mut rng = Rng::seed_from(seed);
+    (0..len)
+        .map(|_| if rng.below(3) == 0 || src_len == 0 { -1 } else { rng.below(src_len) as i32 })
+        .collect()
+}
+
+/// `src` quantized, followed by the slack the i8 gather requires.
+fn quantized_with_slack(src: &[f32], inv_scale: f32) -> Vec<i8> {
+    let mut q = vec![0i8; src.len() + GATHER_I8_SLACK];
+    dispatch_on(Isa::Scalar, QuantizeI8 { src, inv_scale, dst: &mut q[..src.len()] });
+    q
 }
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
@@ -132,6 +152,25 @@ proptest! {
             let mut got = vec![0i8; src.len()];
             dispatch_on(isa, QuantizeI8 { src: &src, inv_scale: 1.0 / scale, dst: &mut got });
             prop_assert!(got == oracle, "quantize_i8 @ {}", isa.name());
+        }
+    }
+
+    #[test]
+    fn gathers_bitwise(n in 0usize..300, src_len in 0usize..200, seed in 0u64..1000) {
+        let src = values(src_len, seed);
+        let qsrc = quantized_with_slack(&src, 0.5);
+        let idx = gather_table(n, src_len, seed);
+        let mut oracle = vec![0f32; n];
+        dispatch_on(Isa::Scalar, GatherF32 { src: &src, idx: &idx, dst: &mut oracle });
+        let mut qoracle = vec![0i8; n];
+        dispatch_on(Isa::Scalar, GatherI8 { src: &qsrc, idx: &idx, dst: &mut qoracle });
+        for isa in Isa::supported() {
+            let mut got = vec![f32::NAN; n];
+            dispatch_on(isa, GatherF32 { src: &src, idx: &idx, dst: &mut got });
+            assert_bits_eq(&got, &oracle, isa.name());
+            let mut qgot = vec![i8::MIN; n];
+            dispatch_on(isa, GatherI8 { src: &qsrc, idx: &idx, dst: &mut qgot });
+            prop_assert!(qgot == qoracle, "gather_i8 @ {}", isa.name());
         }
     }
 
@@ -336,6 +375,85 @@ fn special_values_follow_the_oracle() {
             isa.name()
         );
     }
+    gathers_follow_the_oracle_on_special_values(&src);
+}
+
+/// The gathers move bits: NaN payloads (quiet and signalling), ±0 and
+/// ±inf arrive unchanged, −1 entries read as zero, and an index past
+/// the end panics on every ISA alike. For the i8 gather "past the end"
+/// includes the slack: the last byte of an exactly-sized source is not
+/// indexable, the same byte with the slack after it is.
+fn gathers_follow_the_oracle_on_special_values(specials: &[f32]) {
+    let mut src = specials.to_vec();
+    src.extend([
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xff80_0001),
+        f32::from_bits(0x7f80_0042),
+    ]);
+    // Every source element twice, −1 between runs, length not a
+    // multiple of any vector width.
+    let mut idx: Vec<i32> = (0..src.len() as i32).chain((0..src.len() as i32).rev()).collect();
+    for i in (0..idx.len()).step_by(5) {
+        idx.insert(i, -1);
+    }
+    let mut oracle = vec![0f32; idx.len()];
+    dispatch_on(Isa::Scalar, GatherF32 { src: &src, idx: &idx, dst: &mut oracle });
+    for (&i, &v) in idx.iter().zip(&oracle) {
+        let want = if i < 0 { 0 } else { src[i as usize].to_bits() };
+        assert_eq!(v.to_bits(), want, "scalar gather of index {i}");
+    }
+    let bytes: Vec<i8> = (0..src.len()).map(|i| (i as i8).wrapping_mul(37)).collect();
+    let mut exact = bytes.clone();
+    exact.extend([0; GATHER_I8_SLACK]);
+    let mut qoracle = vec![0i8; idx.len()];
+    dispatch_on(Isa::Scalar, GatherI8 { src: &exact, idx: &idx, dst: &mut qoracle });
+    // Whole vector blocks only (16 = one AVX-512 or two AVX2 blocks), so
+    // the vector bodies' own index checks are what must catch the end.
+    let last = [bytes.len() as i32 - 1; 16];
+    for isa in Isa::supported() {
+        let mut got = vec![1f32; idx.len()];
+        dispatch_on(isa, GatherF32 { src: &src, idx: &idx, dst: &mut got });
+        assert_bits_eq(&got, &oracle, &format!("gather specials @ {}", isa.name()));
+        let mut qgot = vec![1i8; idx.len()];
+        dispatch_on(isa, GatherI8 { src: &exact, idx: &idx, dst: &mut qgot });
+        assert_eq!(qgot, qoracle, "gather_i8 specials @ {}", isa.name());
+        // The last byte with its slack: fine.
+        let mut q = [0i8; 16];
+        dispatch_on(isa, GatherI8 { src: &exact, idx: &last, dst: &mut q });
+        assert_eq!(q, [bytes[bytes.len() - 1]; 16], "last byte @ {}", isa.name());
+        let panics =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        // The same byte at the very end of the source: no slack.
+        assert!(
+            panics(&|| dispatch_on(isa, GatherI8 { src: &bytes, idx: &last, dst: &mut [0; 16] })),
+            "gather_i8 without slack must panic @ {}",
+            isa.name()
+        );
+        let past = [src.len() as i32; 16];
+        assert!(
+            panics(&|| dispatch_on(isa, GatherF32 { src: &src, idx: &past, dst: &mut [0.0; 16] })),
+            "gather past the end must panic @ {}",
+            isa.name()
+        );
+    }
+}
+
+/// A conv whose input indices do not fit the i32 gather table is an
+/// `InvalidGeometry` error, never a wrapped index. The batch is empty,
+/// so the check must come before any table for the huge input is
+/// sized: this test allocates nothing of that size.
+#[test]
+fn conv_index_overflow_is_an_error() {
+    let g = ConvGeometry::new(1, 46341, 46341, 1, 1, 1, 0).unwrap(); // 46341² > i32::MAX
+    let x = Tensor::zeros([0, 1, 46341, 46341]);
+    let (w, bias) = (Tensor::zeros([1, 1, 1, 1]), Tensor::zeros([1]));
+    let mut ws = ConvWorkspace::new();
+    let err = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap_err();
+    assert!(matches!(err, TensorError::InvalidGeometry { .. }), "{err:?}");
+    let qw = QuantizedMatrix::from_rows(&[0.5], 1, 1).unwrap();
+    let err = conv2d_forward_i8_ws(&x, &qw, &bias, &g, 0.01, &mut ws).unwrap_err();
+    assert!(matches!(err, TensorError::InvalidGeometry { .. }), "{err:?}");
+    assert_eq!(ws.reallocations(), 0);
 }
 
 /// The `INSITU_SIMD=scalar` CI leg must actually pin the portable
@@ -362,6 +480,8 @@ struct Battery {
     pool: Vec<f32>,
     argmax: Vec<usize>,
     reductions: [u32; 4],
+    gather: Vec<f32>,
+    gather_i8: Vec<i8>,
 }
 
 /// One battery of every dispatched op on one ISA at one thread count.
@@ -371,6 +491,8 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
     let n: usize = 120_000;
     let src = values(n, 0xC0FFEE);
     let grad = values(n, 0xBEEF);
+    let qsrc = quantized_with_slack(&src, 37.5);
+    let table = gather_table(90_001, n, 0xFEED);
     with_threads(threads, || {
         let mut relu = src.clone();
         let mut mask = vec![0u8; n.div_ceil(8)];
@@ -401,6 +523,10 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
                 lo.to_bits() ^ hi.to_bits().rotate_left(16)
             },
         ];
+        let mut gather = vec![0f32; table.len()];
+        dispatch_on(isa, GatherF32 { src: &src, idx: &table, dst: &mut gather });
+        let mut gather_i8 = vec![0i8; table.len()];
+        dispatch_on(isa, GatherI8 { src: &qsrc, idx: &table, dst: &mut gather_i8 });
         Battery {
             relu,
             mask,
@@ -410,6 +536,8 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
             pool,
             argmax: arg,
             reductions: reds,
+            gather,
+            gather_i8,
         }
     })
 }
@@ -441,6 +569,8 @@ fn cross_isa_all_pairs_bitwise() {
                 assert_bits_eq(&a.pool, &b.pool, &format!("maxpool {pair}"));
                 assert_eq!(a.argmax, b.argmax, "argmax {pair}");
                 assert_eq!(a.reductions, b.reductions, "reductions {pair}");
+                assert_bits_eq(&a.gather, &b.gather, &format!("gather_f32 {pair}"));
+                assert_eq!(a.gather_i8, b.gather_i8, "gather_i8 {pair}");
             }
         }
     }

@@ -102,9 +102,9 @@ fn traced_session_exports_chrome_trace() {
     }
     assert!(snap.counter("pool.jobs", "").unwrap().calls >= 1);
     // The SIMD dispatch layer accounts its traffic per op: the session
-    // runs ReLU and maxpool forward on every image, so both ops must
-    // show up with nonzero bytes.
-    for op in ["tensor.simd.relu", "tensor.simd.maxpool"] {
+    // runs ReLU, maxpool and the conv panel gather forward on every
+    // image, so all three ops must show up with nonzero bytes.
+    for op in ["tensor.simd.relu", "tensor.simd.maxpool", "tensor.simd.gather_f32"] {
         assert!(snap.has_span(op), "missing {op} spans:\n{}", snap.summary());
         let bytes: u64 = snap
             .counters
